@@ -12,59 +12,77 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* workload construction *)
 
-let make_graph ~family ~n ~seed =
-  let rng = Rng.create seed in
-  match family with
-  | "path" -> Generators.path ~rng n
-  | "star" -> Generators.star ~rng n
-  | "binary-tree" -> Generators.binary_tree ~rng n
-  | "random-tree" -> Generators.random_tree ~rng n
-  | "caterpillar" -> Generators.caterpillar ~rng ~spine:(max 1 (n / 5)) ~legs:4
-  | "cycle" -> Generators.cycle ~rng n
-  | "grid" ->
-    let side = max 2 (int_of_float (sqrt (float_of_int n))) in
-    Generators.grid ~rng ~rows:side ~cols:side
-  | "torus" ->
-    let side = max 3 (int_of_float (sqrt (float_of_int n))) in
-    Generators.torus ~rng ~rows:side ~cols:side
-  | "gnp" -> Generators.gnp_connected ~rng ~n ~p:(4.0 /. float_of_int n *. 2.0)
-  | "lollipop" -> Generators.lollipop ~rng ~clique:(max 2 (n / 3)) ~tail:(max 1 (n - (n / 3)))
-  | "ladder" -> Generators.ladder ~rng (max 2 (n / 2))
-  | "regular" -> Generators.random_regular ~rng ~n ~d:4
-  | "complete" -> Generators.complete ~rng n
-  | "hidden" -> Generators.hidden_path ~rng ~n ~shortcuts:(2 * n)
-  | "pa" -> Generators.preferential_attachment ~rng ~n ~m:2
-  | "rgg" ->
-    let radius = sqrt (6.0 /. (Float.pi *. float_of_int n)) in
-    Generators.random_geometric ~rng ~n ~radius
-  | other -> invalid_arg (Printf.sprintf "unknown family %S" other)
+(* The generator table: every [--family] value and how it scales with
+   [-n].  [family_arg] accepts exactly these names, so an unknown family
+   is a usage error before any command runs. *)
+let families : (string * (Rng.t -> int -> Graph.t)) list =
+  [
+    ("path", fun rng n -> Generators.path ~rng n);
+    ("star", fun rng n -> Generators.star ~rng n);
+    ("binary-tree", fun rng n -> Generators.binary_tree ~rng n);
+    ("random-tree", fun rng n -> Generators.random_tree ~rng n);
+    ( "caterpillar",
+      fun rng n -> Generators.caterpillar ~rng ~spine:(max 1 (n / 5)) ~legs:4 );
+    ("cycle", fun rng n -> Generators.cycle ~rng n);
+    ( "grid",
+      fun rng n ->
+        let side = max 2 (int_of_float (sqrt (float_of_int n))) in
+        Generators.grid ~rng ~rows:side ~cols:side );
+    ( "torus",
+      fun rng n ->
+        let side = max 3 (int_of_float (sqrt (float_of_int n))) in
+        Generators.torus ~rng ~rows:side ~cols:side );
+    ( "gnp",
+      fun rng n ->
+        Generators.gnp_connected ~rng ~n ~p:(4.0 /. float_of_int n *. 2.0) );
+    ( "lollipop",
+      fun rng n ->
+        Generators.lollipop ~rng ~clique:(max 2 (n / 3))
+          ~tail:(max 1 (n - (n / 3))) );
+    ("ladder", fun rng n -> Generators.ladder ~rng (max 2 (n / 2)));
+    ("regular", fun rng n -> Generators.random_regular ~rng ~n ~d:4);
+    ("complete", fun rng n -> Generators.complete ~rng n);
+    ("hidden", fun rng n -> Generators.hidden_path ~rng ~n ~shortcuts:(2 * n));
+    ("pa", fun rng n -> Generators.preferential_attachment ~rng ~n ~m:2);
+    ( "rgg",
+      fun rng n ->
+        let radius = sqrt (6.0 /. (Float.pi *. float_of_int n)) in
+        Generators.random_geometric ~rng ~n ~radius );
+  ]
+
+let make_graph ~family ~n ~seed = (List.assoc family families) (Rng.create seed) n
 
 let family_arg =
-  let doc =
-    "Graph family: path, star, binary-tree, random-tree, caterpillar, cycle, grid, \
-     torus, gnp, lollipop, ladder, regular, complete, hidden, pa, rgg."
+  let names = List.map (fun (name, _) -> (name, name)) families in
+  let doc = "Graph family: " ^ Arg.doc_alts_enum names ^ "." in
+  Arg.(value & opt (enum names) "random-tree" & info [ "family" ] ~docv:"FAMILY" ~doc)
+
+(* Counts that must be at least 1; anything else is a usage error. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= 1 -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
   in
-  Arg.(value & opt string "random-tree" & info [ "family" ] ~docv:"FAMILY" ~doc)
+  Arg.conv (parse, Format.pp_print_int)
 
 let n_arg = Arg.(value & opt int 500 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
-let k_arg = Arg.(value & opt int 4 & info [ "k"; "param" ] ~docv:"K" ~doc:"Domination parameter k.")
+let k_arg = Arg.(value & opt pos_int 4 & info [ "k"; "param" ] ~docv:"K" ~doc:"Domination parameter k.")
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
 
 let domains_arg =
   Arg.(
-    value & opt int 1
+    value & opt pos_int 1
     & info [ "domains" ] ~docv:"D"
         ~doc:
           "Run every engine execution on $(docv) OCaml domains (the sharded \
            multicore executor; bit-identical to the sequential engine).")
 
-(* The composite drivers (FastDOM, FastMST, repair) call [Runtime.run]
+(* The composite drivers (FastDOM, FastMST, repair) call [Engine.run_emit]
    internally, so the domain count is threaded through the engine's
    process-wide default rather than through every call site; sound because
    the sharded executor is observationally identical. *)
-let set_domains d =
-  if d < 1 then invalid_arg "--domains must be >= 1";
-  Kdom_congest.Engine.default_domains := d
+let set_domains d = Kdom_congest.Engine.default_domains := d
 
 (* ------------------------------------------------------------------ *)
 (* subcommands *)
@@ -177,7 +195,7 @@ let centers_cmd family n k seed =
 
 type fault_case =
   | Fault_case :
-      int * (unit -> 'st Kdom_congest.Runtime.algorithm) * ('st array -> string)
+      int * (unit -> 'st Kdom_congest.Engine.ealgorithm) * ('st array -> string)
       -> fault_case
 
 (* The algorithm menu shared by the [faults] and [trace] subcommands: a
@@ -185,7 +203,7 @@ type fault_case =
 let fault_case g ~k algo =
   let open Kdom_congest in
   let n = Graph.n g in
-  let dummy = { Runtime.rounds = 0; messages = 0; max_inflight = 0 } in
+  let dummy = { Engine.rounds = 0; messages = 0; max_inflight = 0 } in
   let need_tree what =
     if not (Tree.is_tree g) then
       invalid_arg (Printf.sprintf "%s needs a tree family" what)
@@ -215,7 +233,7 @@ let fault_case g ~k algo =
         invalid_arg "census: tree height <= k, no census stage runs";
       Fault_case
         ( Kdom.Diam_dom.census_max_words,
-          (fun () -> Kdom.Diam_dom.census_algorithm info ~k),
+          (fun () -> Kdom.Diam_dom.census_ealgorithm info ~k),
           fun states ->
             let centers = ref [] in
             Array.iteri
@@ -346,7 +364,7 @@ let faults_cmd family n k seed algo drop dup slow fifo max_delay crashes cuts
   in
   let tr = make_trace trace_file in
   Option.iter (fun t -> Trace.set_budget t max_words) tr;
-  let sync_states, sync_stats = Runtime.run ~max_words g (mk ()) in
+  let sync_states, sync_stats = Engine.run_emit ~max_words g (mk ()) in
   let states, frep =
     Trace.span_opt tr (algo ^ ".reliable") (fun () ->
         Async.run_reliable ~rng:(Rng.create (seed + 2)) ~faults ~max_delay

@@ -29,7 +29,7 @@ let () =
   (* 3. The synchrony assumption is inessential: run the BFS node program
      under the alpha-synchronizer with three delay regimes. *)
   let algo = Bfs_tree.algorithm g ~root:elected.leader in
-  let sync_states, sync_stats = Kdom_congest.Runtime.run g algo in
+  let sync_states, sync_stats = Kdom_congest.Engine.run_emit g algo in
   let sync_info = Bfs_tree.info_of_states g ~root:elected.leader sync_states in
   Format.printf "@.synchronous BFS: %d rounds, %d messages, height %d@."
     sync_stats.rounds sync_stats.messages sync_info.height;

@@ -41,9 +41,9 @@ let () =
 
   (* 1. FastDOM's census stage (DiamDOM) on a random tree. *)
   let info, _ = Bfs_tree.run t ~root:0 in
-  let mk () = Diam_dom.census_algorithm info ~k in
+  let mk () = Diam_dom.census_ealgorithm info ~k in
   let max_words = Diam_dom.census_max_words in
-  let sync_states, _ = Runtime.run ~max_words t (mk ()) in
+  let sync_states, _ = Engine.run_emit ~max_words t (mk ()) in
   let states, frep =
     Async.run_reliable ~rng:(Rng.create 1) ~faults ~max_words t (mk ())
   in
@@ -63,7 +63,7 @@ let () =
   (* 2. SimpleMST on a connected G(n,p). *)
   let mk () = Simple_mst_congest.algorithm g ~k in
   let max_words = Simple_mst_congest.max_words in
-  let sync_states, _ = Runtime.run ~max_words g (mk ()) in
+  let sync_states, _ = Engine.run_emit ~max_words g (mk ()) in
   let states, frep =
     Async.run_reliable ~rng:(Rng.create 2) ~faults ~max_words g (mk ())
   in

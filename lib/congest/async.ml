@@ -87,6 +87,20 @@ type 'st node = {
   degree : int;
 }
 
+(* One node's pulse: the algorithm steps through [Engine.collect_step],
+   whose scratch writer enforces the word budget; the violation is worded
+   for the pulse.  The frames come back in send order, so the delay and
+   fault draws below follow the order the algorithm emitted them. *)
+let pulse_step ~max_words g algo ~round ~node st inbox =
+  try
+    Engine.collect_step ~max_words algo g ~round ~node st
+      (Engine.Inbox.of_list inbox)
+  with Codec.Width_exceeded { budget; words } ->
+    raise
+      (Engine.Congestion_violation
+         (Printf.sprintf "async pulse %d: node %d payload of %d words exceeds %d"
+            round node words budget))
+
 let run ~rng ?(max_delay = 1.0) ?max_words g algo =
   let n = Graph.n g in
   (* the engine's CSR port map provides O(1) neighbor validation and
@@ -95,10 +109,11 @@ let run ~rng ?(max_delay = 1.0) ?max_words g algo =
   let max_words =
     match max_words with Some w -> w | None -> Engine.default_max_words n
   in
+  let step = pulse_step ~max_words g algo in
   let nodes =
     Array.init n (fun v ->
         {
-          state = algo.Engine.init g v;
+          state = algo.Engine.einit g v;
           next_pulse = 0;
           is_halted = false;
           awaiting_acks = 0;
@@ -158,11 +173,9 @@ let run ~rng ?(max_delay = 1.0) ?max_words g algo =
              declared safe once all its messages are acked, so wake hints
              are not consulted here: the event queue itself is the wake
              source (a node runs only when an event arrives for it) *)
-          let st, outbox =
-            algo.Engine.step g ~round:p ~node:v nd.state (Engine.Inbox.of_list inbox)
-          in
+          let st, outbox = step ~round:p ~node:v nd.state inbox in
           nd.state <- st;
-          if (not nd.is_halted) && algo.Engine.halted st then begin
+          if (not nd.is_halted) && algo.Engine.ehalted st then begin
             nd.is_halted <- true;
             incr halted_count;
             finish_time := Float.max !finish_time now
@@ -184,12 +197,6 @@ let run ~rng ?(max_delay = 1.0) ?max_words g algo =
               (Engine.Congestion_violation
                  (Printf.sprintf "async pulse %d: node %d sent twice over edge to %d" p v u));
           used_at.(slot) <- p;
-          let w = Array.length payload in
-          if w > max_words then
-            raise
-              (Engine.Congestion_violation
-                 (Printf.sprintf "async pulse %d: node %d payload of %d words exceeds %d"
-                    p v w max_words));
           incr alg_messages;
           send now u (Alg (v, p, payload)))
         outbox;
@@ -311,6 +318,7 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
   let max_words =
     match max_words with Some w -> w | None -> Engine.default_max_words n
   in
+  let step = pulse_step ~max_words g algo in
   let ack_timeout =
     match ack_timeout with Some t -> t | None -> 4.0 *. max_delay
   in
@@ -320,11 +328,11 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
     invalid_arg "Async.run_reliable: max_attempts must be >= 1";
   let nodes =
     Array.init n (fun v ->
-        let state = algo.Engine.init g v in
+        let state = algo.Engine.einit g v in
         {
           state;
           next_pulse = 0;
-          is_halted = algo.Engine.halted state;
+          is_halted = algo.Engine.ehalted state;
           awaiting_acks = 0;
           safe_pulse = -1;
           buffers = Hashtbl.create 8;
@@ -446,11 +454,9 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
             Tally.add t_stepped p 1;
             if inbox <> [] then Tally.add t_receivers p 1
           end;
-          let st, outbox =
-            algo.Engine.step g ~round:p ~node:v nd.state (Engine.Inbox.of_list inbox)
-          in
+          let st, outbox = step ~round:p ~node:v nd.state inbox in
           nd.state <- st;
-          if (not nd.is_halted) && algo.Engine.halted st then begin
+          if (not nd.is_halted) && algo.Engine.ehalted st then begin
             nd.is_halted <- true;
             incr halted_count;
             finish_time := Float.max !finish_time now
@@ -470,16 +476,11 @@ let run_reliable ~rng ?(faults = Faults.none) ?(max_delay = 1.0) ?max_words
               (Engine.Congestion_violation
                  (Printf.sprintf "async pulse %d: node %d sent twice over edge to %d" p v u));
           used_at.(slot) <- p;
-          let w = Array.length payload in
-          if w > max_words then
-            raise
-              (Engine.Congestion_violation
-                 (Printf.sprintf "async pulse %d: node %d payload of %d words exceeds %d"
-                    p v w max_words));
           incr alg_messages;
           if instrumented then begin
             Tally.add t_sent p 1;
-            sink.Engine.Sink.on_message ~round:p ~src:v ~dst:u ~words:w
+            sink.Engine.Sink.on_message ~round:p ~src:v ~dst:u
+              ~words:(Array.length payload)
           end;
           reliable_send now ~slot ~src:v ~dst:u (WAlg (p, payload)))
         outbox;

@@ -16,12 +16,12 @@
 
     Because a neighbor's safety certifies that its pulse-[r] messages were
     delivered, every node's pulse-[r+1] inbox equals the synchronous one,
-    so the final states are {e identical} to {!Runtime.run}'s — the tests
+    so the final states are {e identical} to {!Engine.run_emit}'s — the tests
     check this bit for bit on the paper's algorithms.
 
     Scheduling note: the synchronizer steps {e every} node at {e every}
     pulse — its correctness argument needs each node to certify safety
-    per pulse — so the engine's {!Engine.algorithm.wake} hints are not
+    per pulse — so the engine's {!Engine.ealgorithm.ewake} hints are not
     consulted here.  The discrete-event queue (message arrivals, acks,
     SAFE announcements, and the retransmit timers of {!run_reliable}) is
     this executor's wake source; the sparse scheduling happens at event
@@ -46,11 +46,11 @@ val run :
   ?max_delay:float ->
   ?max_words:int ->
   Graph.t ->
-  'st Runtime.algorithm ->
+  'st Engine.ealgorithm ->
   'st array * report
 (** [run ~rng g algo] executes [algo] to quiescence under link delays
     drawn uniformly from [(0, max_delay]] (default 1.0).  The returned
-    states must match [Runtime.run g algo] exactly.
+    states must match [Engine.run_emit g algo] exactly.
 
     The executor shares the {!Engine} port map: per-pulse sends are
     subject to the same congestion discipline as the synchronous engine —
@@ -93,7 +93,7 @@ val run_reliable :
   ?max_attempts:int ->
   ?sink:Engine.Sink.t ->
   Graph.t ->
-  'st Runtime.algorithm ->
+  'st Engine.ealgorithm ->
   'st array * fault_report
 (** [run_reliable ~rng g algo] executes [algo] under the α-synchronizer on
     a network governed by [faults] (default {!Faults.none}), with a
@@ -117,7 +117,7 @@ val run_reliable :
     its inboxes are keyed by pulse, so reordered deliveries land in the
     right pulse buffer, and a neighbor's [SAFE(r)] still certifies that
     every pulse-[r] message is buffered before pulse [r + 1] executes.
-    Final states are therefore bit-identical to {!Runtime.run}'s under
+    Final states are therefore bit-identical to {!Engine.run_emit}'s under
     {e any} drop/duplication/reordering regime, and under crash-recovery
     faults (crashed nodes keep their state; see {!Faults}).  A node that
     is crashed at time 0 simply starts late.  Permanent crashes

@@ -188,7 +188,7 @@ let churn_of_storm g s ~seed =
 
 type case =
   | Case :
-      string * int * (unit -> 'st Runtime.algorithm) * ('st array -> unit)
+      string * int * (unit -> 'st Engine.ealgorithm) * ('st array -> unit)
       -> case
 
 type verdict = {
@@ -256,7 +256,7 @@ let run_message ?(max_delay = 1.0) ~seed ~storm g
   validate storm;
   let what = "chaos/" ^ name in
   (* fault-free synchronous baseline *)
-  let sync_states, _ = Runtime.run ~max_words g (mk ()) in
+  let sync_states, _ = Engine.run_emit ~max_words g (mk ()) in
   let expect_same stage states =
     if states <> sync_states then
       fail what "%s diverged from the fault-free synchronous baseline" stage
@@ -264,11 +264,11 @@ let run_message ?(max_delay = 1.0) ~seed ~storm g
   (* the guard word changes frames on the wire, never the algorithm:
      guarded executions agree bit for bit across all three executors *)
   expect_same "guarded sequential run"
-    (fst (Runtime.run ~max_words ~guard:true ~domains:1 g (mk ())));
+    (fst (Engine.run_emit ~max_words ~guard:true ~domains:1 g (mk ())));
   expect_same "guarded 4-domain run"
-    (fst (Runtime.run ~max_words ~guard:true ~domains:4 g (mk ())));
+    (fst (Engine.run_emit ~max_words ~guard:true ~domains:4 g (mk ())));
   expect_same "guarded reference run"
-    (fst (Runtime.run_reference ~max_words ~guard:true g (mk ())));
+    (fst (Reference.run ~max_words ~guard:true g (mk ())));
   (* the composed storm, recovered by ack/retransmit *)
   let spec = faults_of_storm g storm ~seed in
   let states, frep =
@@ -346,9 +346,9 @@ let run_repair ?(beta = 3) ?(lease = 2) ~seed ~storm g plan =
     fail what "4-domain corruption tally diverged";
   (* and so does the reference simulator *)
   let rstates, _ =
-    Runtime.run_reference ~max_words:Repair.max_words
+    Reference.run ~max_words:Repair.max_words
       ~max_rounds:(horizon + 2) ~churn ?corrupt g
-      (Repair.algorithm g cfg)
+      (Repair.ealgorithm g cfg)
   in
   if rstates <> states then fail what "reference run diverged";
   if tally_of corrupt <> tally then

@@ -11,7 +11,7 @@
     - {e Masked} ({!run_message}): message-level algorithms run under
       {!Async.run_reliable}, whose CRC guard + ack/retransmit layer turns
       the storm back into a reliable network — final states must be
-      bit-identical to the fault-free synchronous {!Runtime.run}, and the
+      bit-identical to the fault-free synchronous {!Engine.run_emit}, and the
       per-algorithm oracle must accept them.  The same run cross-checks
       that the guarded sequential, 4-domain sharded and reference
       executors agree on the benign network, so the guard word itself is
@@ -110,7 +110,7 @@ val churn_of_storm : Graph.t -> storm -> seed:int -> Faults.script
 
 type case =
   | Case :
-      string * int * (unit -> 'st Runtime.algorithm) * ('st array -> unit)
+      string * int * (unit -> 'st Engine.ealgorithm) * ('st array -> unit)
       -> case
       (** One algorithm under test: name, word budget, a fresh instance
           per execution (mutable closures must not leak between

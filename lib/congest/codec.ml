@@ -186,8 +186,8 @@ let decode buf ~base ~wire ~words =
 
 (* Writers.  A writer is a reusable cursor over either a fixed arena
    region ([attach_writer], the engine's zero-allocation emit path) or
-   its own growable scratch buffer ([scratch_writer], used by the
-   emit->list compat adapter and boxed inbox views).  A writer given
+   its own growable scratch buffer ([scratch_writer], used by
+   [Engine.collect_step] and boxed inbox views).  A writer given
    to [attach_writer] must not be reused with [scratch_writer]: the
    scratch mode assumes it owns [buf]. *)
 

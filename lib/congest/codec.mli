@@ -26,8 +26,8 @@ val guard_words : int
 exception Width_exceeded of { budget : int; words : int }
 (** Raised by {!put} on the write of logical word [budget + 1].
     [words] is the attempted logical length ([budget + 1]).  The
-    engine converts this into the legacy
-    [Engine.Congestion_violation] message. *)
+    executors convert this into an [Engine.Congestion_violation]
+    message. *)
 
 exception Truncated_frame of { wire : int }
 (** Raised when decoding runs past the end of a frame: reading more
@@ -120,7 +120,7 @@ val attach_writer :
 
 val scratch_writer : ?guard:bool -> writer -> budget:int -> unit
 (** Reposition onto the writer's own buffer (grown on demand), with a
-    logical-word [budget].  Used by the emit->list compat adapter. *)
+    logical-word [budget].  Used by [Engine.collect_step]. *)
 
 val put : writer -> int -> unit
 (** Append one logical word.  @raise Width_exceeded on word

@@ -1,7 +1,6 @@
 open Kdom_graph
 
 type payload = int array
-type inbox = (int * payload) list
 
 type stats = { rounds : int; messages : int; max_inflight : int }
 
@@ -137,14 +136,6 @@ module Inbox = struct
     done;
     !acc
 
-  let to_list t =
-    ensure t;
-    let acc = ref [] in
-    for i = t.len - 1 downto 0 do
-      acc := (t.src.(i), payload_unchecked t i) :: !acc
-    done;
-    !acc
-
   let of_list l =
     let n = List.length l in
     let t = create ~cap:(max 1 n) () in
@@ -168,24 +159,15 @@ type wake =
   | At of int  (* step at that absolute round; past rounds schedule nothing *)
   | OnMessage  (* step only when a message arrives *)
 
-type 'st algorithm = {
-  init : Graph.t -> int -> 'st;
-  step : Graph.t -> round:int -> node:int -> 'st -> Inbox.t -> 'st * (int * payload) list;
-  halted : 'st -> bool;
-  wake : 'st -> wake;
-}
-
 let always _ = Always
-let list_step step g ~round ~node st ib = step g ~round ~node st (Inbox.to_list ib)
 
 (* The allocation-free send path.  An emitter is a reusable cursor the
    executor attaches to its own send machinery: [start] positions the
    shared writer directly on the destination slot's arena region (after
-   the same non-neighbor / duplicate-edge checks the list path performs),
-   the algorithm [Codec.put]s the frame's words, and [commit] publishes
-   the frame — no payload array, no cons cell, no copy.  [frame1]..
-   [frame4] are closure-free shorthands for fixed-shape frames; [send]
-   is the closure flavor from the issue statement. *)
+   the non-neighbor / duplicate-edge checks), the algorithm [Codec.put]s
+   the frame's words, and [commit] publishes the frame — no payload
+   array, no cons cell, no copy.  [frame1]..[frame4] are closure-free
+   shorthands for fixed-shape frames; [send] is the closure flavor. *)
 module Emit = struct
   type t = {
     ew : Codec.writer;
@@ -263,10 +245,6 @@ type 'st ealgorithm = {
   ehalted : 'st -> bool;
   ewake : 'st -> wake;
 }
-
-(* Internal sum the executors dispatch on: both the legacy list shape and
-   the emit shape run through the same scheduling/delivery machinery. *)
-type 'st anyalg = A_list of 'st algorithm | A_emit of 'st ealgorithm
 
 module Sink = struct
   type round_info = {
@@ -977,12 +955,8 @@ let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   ensure_arena e.buf_b ~ports:e.ports ~stride;
   e.running <- true;
   e.dirty <- true;
-  let a_init, a_halted, a_wake =
-    match algo with
-    | A_list a -> (a.init, a.halted, a.wake)
-    | A_emit a -> (a.einit, a.ehalted, a.ewake)
-  in
-  let states = Array.init n (fun v -> a_init g v) in
+  let a_halted = algo.ehalted and a_wake = algo.ewake in
+  let states = Array.init n (fun v -> algo.einit g v) in
   (* Hoisted churn views: the empty arrays are never indexed (short-circuit
      on [churn_on]), so the no-churn send path costs one extra branch. *)
   let churn_edge_down, churn_crashed, churn_dormant =
@@ -1060,238 +1034,238 @@ let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   (* Hoisted out of the round loop so the emitter closures (created once
      per exec) can account churn-dropped frames; reset every round. *)
   let churn_dropped = ref 0 in
-  (* The emit fast path: one reusable emitter whose start/commit write the
-     frame straight into the send arena.  [start] performs the same checks
-     as the list path's store loop (non-neighbor, then churn-dead, then
-     duplicate edge); width is enforced by the writer budget as the frame
-     is built; [commit] publishes the slot and bumps the counters. *)
+  (* The send path: one reusable emitter whose start/commit write the
+     frame straight into the send arena.  [start] checks, in order,
+     non-neighbor, churn-dead and duplicate edge; width is enforced by the
+     writer budget as the frame is built; [commit] publishes the slot and
+     bumps the counters. *)
   let em = Emit.make () in
-  (if match algo with A_emit _ -> true | A_list _ -> false then begin
-     em.Emit.estart <-
-       (fun t u ->
-         if t.Emit.eopen then
-           invalid_arg "Engine.Emit.start: frame already open";
-         let v = t.Emit.enode in
-         let slot = find_port e ~src:v ~dst:u in
-         if slot < 0 then
-           raise
-             (Congestion_violation
-                (Printf.sprintf "round %d: node %d sent to non-neighbor %d"
-                   !round v u));
-         let sd = !nxt in
-         if
-           churn_on
-           && (churn_edge_down.(slot) || churn_crashed.(u)
-              || churn_dormant.(u))
-         then
-           (* frame onto a dead port or to a crashed node: build it (the
-              width budget still applies) but never publish the slot *)
-           t.Emit.edead <- true
-         else begin
-           if sd.wire.(slot) >= 0 then
-             raise
-               (Congestion_violation
-                  (Printf.sprintf "round %d: node %d sent twice over edge to %d"
-                     !round v u));
-           t.Emit.edead <- false
-         end;
-         t.Emit.edst <- u;
-         t.Emit.eslot <- slot;
-         t.Emit.eopen <- true;
-         Codec.attach_writer ~guard t.Emit.ew sd.data ~base:(slot * stride)
-           ~budget:max_words;
-         t.Emit.ew);
-     em.Emit.ecommit <-
-       (fun t ->
-         if not t.Emit.eopen then
-           invalid_arg "Engine.Emit.commit: no open frame";
-         t.Emit.eopen <- false;
-         if t.Emit.edead then incr churn_dropped
-         else begin
-           let sd = !nxt in
-           let slot = t.Emit.eslot and u = t.Emit.edst in
-           let w = Codec.words t.Emit.ew and wire = Codec.seal t.Emit.ew in
-           sd.wire.(slot) <- wire;
-           sd.wlog.(slot) <- w;
-           sd.written.(sd.wlen) <- slot;
-           sd.wlen <- sd.wlen + 1;
-           if sd.count.(u) = 0 then begin
-             sd.active.(sd.alen) <- u;
-             sd.alen <- sd.alen + 1
-           end;
-           sd.count.(u) <- sd.count.(u) + 1;
-           sd.total <- sd.total + 1;
-           sd.words <- sd.words + w;
-           sd.bits <- sd.bits + (word_bits * wire);
-           if instrumented then
-             sink.on_message ~round:!round ~src:t.Emit.enode ~dst:u ~words:w
-         end);
-     (* Broadcast fast path: encode the one-word frame once into a scratch
-        region, then walk the node's contiguous out-port segment directly —
-        no per-neighbor binary search, no per-frame start/commit pair.
-        Totals are batched after the churn-free loop; the churn loop keeps
-        per-slot accounting because dropped ports send nothing. *)
-     let bscratch =
-       Bytes.create (2 * (Codec.max_wire_words + Codec.guard_words))
-     in
-     (* Broadcast memo: consecutive [broadcast1] calls with the same value
-        re-use the encoded scratch frame, so a flood round encodes (and
-        CRCs, when the guard is on) once instead of n times.  Nothing else
-        writes [bscratch], so the memo never goes stale. *)
-     let bmemo_live = ref false and bmemo_a = ref 0 and bmemo_wire = ref 0 in
-     em.Emit.ebroadcast1 <-
-       (fun t a ->
-         if t.Emit.eopen then
-           invalid_arg "Engine.Emit.broadcast1: frame already open";
-         let v = t.Emit.enode in
-         if max_words < 1 then
-           raise
-             (Congestion_violation
-                (Printf.sprintf
-                   "round %d: node %d payload of %d words exceeds %d" !round v
-                   1 max_words));
-         let wire =
-           if !bmemo_live && !bmemo_a = a then !bmemo_wire
-           else begin
-             let w =
-               if guard then Codec.encode1_guarded bscratch ~base:0 a
-               else Codec.encode1 bscratch ~base:0 a
-             in
-             bmemo_live := true;
-             bmemo_a := a;
-             bmemo_wire := w;
-             w
-           end
-         in
-         let sd = !nxt in
-         let first = e.out_off.(v) and stop = e.out_off.(v + 1) in
-         if not churn_on then begin
-           (* arrays hoisted into locals: without flambda every
-              [sd.field.(slot)] reloads the field inside the loop *)
-           let data = sd.data
-           and swire = sd.wire
-           and swlog = sd.wlog
-           and written = sd.written
-           and count = sd.count
-           and active = sd.active
-           and out_dst = e.out_dst in
-           (* every slot of the range is written, so the [written] cursor
-              is [wbase + slot] — no loop-carried ref (a ref would be a
-              per-step allocation on the zero-alloc path) *)
-           let wbase = sd.wlen - first in
-           if wire = 1 && not instrumented then begin
-             (* the lean loop: a small value on an uninstrumented run is
-                one u16 store plus the minimum bookkeeping *)
-             let g = Bytes.get_uint16_le bscratch 0 in
-             for slot = first to stop - 1 do
-               let u = out_dst.(slot) in
-               if swire.(slot) >= 0 then
-                 raise
-                   (Congestion_violation
-                      (Printf.sprintf
-                         "round %d: node %d sent twice over edge to %d" !round
-                         v u));
-               Bytes.set_uint16_le data (slot * stride) g;
-               swire.(slot) <- 1;
-               swlog.(slot) <- 1;
-               written.(wbase + slot) <- slot;
-               let c = count.(u) in
-               if c = 0 then begin
-                 active.(sd.alen) <- u;
-                 sd.alen <- sd.alen + 1
-               end;
-               count.(u) <- c + 1
-             done
-           end
-           else if wire = 2 && not instrumented then begin
-             (* guarded lean loop: a one-word value plus its CRC guard
-                word is exactly one 32-bit store — the stride is always
-                at least [2 * max_wire_words] bytes, so the wide store
-                stays inside the slot's frame region *)
-             let g = Bytes.get_int32_le bscratch 0 in
-             for slot = first to stop - 1 do
-               let u = out_dst.(slot) in
-               if swire.(slot) >= 0 then
-                 raise
-                   (Congestion_violation
-                      (Printf.sprintf
-                         "round %d: node %d sent twice over edge to %d" !round
-                         v u));
-               Bytes.set_int32_le data (slot * stride) g;
-               swire.(slot) <- 2;
-               swlog.(slot) <- 1;
-               written.(wbase + slot) <- slot;
-               let c = count.(u) in
-               if c = 0 then begin
-                 active.(sd.alen) <- u;
-                 sd.alen <- sd.alen + 1
-               end;
-               count.(u) <- c + 1
-             done
-           end
-           else
-             for slot = first to stop - 1 do
-               let u = out_dst.(slot) in
-               if swire.(slot) >= 0 then
-                 raise
-                   (Congestion_violation
-                      (Printf.sprintf
-                         "round %d: node %d sent twice over edge to %d" !round
-                         v u));
-               if wire = 1 then
-                 Bytes.set_uint16_le data (slot * stride)
-                   (Bytes.get_uint16_le bscratch 0)
-               else Bytes.blit bscratch 0 data (slot * stride) (2 * wire);
-               swire.(slot) <- wire;
-               swlog.(slot) <- 1;
-               written.(wbase + slot) <- slot;
-               let c = count.(u) in
-               if c = 0 then begin
-                 active.(sd.alen) <- u;
-                 sd.alen <- sd.alen + 1
-               end;
-               count.(u) <- c + 1;
-               if instrumented then
-                 sink.on_message ~round:!round ~src:v ~dst:u ~words:1
-             done;
-           let sent = stop - first in
-           sd.wlen <- sd.wlen + sent;
-           sd.total <- sd.total + sent;
-           sd.words <- sd.words + sent;
-           sd.bits <- sd.bits + (word_bits * wire * sent)
-         end
-         else
-           for slot = first to stop - 1 do
-             let u = e.out_dst.(slot) in
-             if
-               churn_edge_down.(slot) || churn_crashed.(u)
-               || churn_dormant.(u)
-             then incr churn_dropped
-             else begin
-               if sd.wire.(slot) >= 0 then
-                 raise
-                   (Congestion_violation
-                      (Printf.sprintf
-                         "round %d: node %d sent twice over edge to %d" !round
-                         v u));
-               Bytes.blit bscratch 0 sd.data (slot * stride) (2 * wire);
-               sd.wire.(slot) <- wire;
-               sd.wlog.(slot) <- 1;
-               sd.written.(sd.wlen) <- slot;
-               sd.wlen <- sd.wlen + 1;
-               if sd.count.(u) = 0 then begin
-                 sd.active.(sd.alen) <- u;
-                 sd.alen <- sd.alen + 1
-               end;
-               sd.count.(u) <- sd.count.(u) + 1;
-               sd.total <- sd.total + 1;
-               sd.words <- sd.words + 1;
-               sd.bits <- sd.bits + (word_bits * wire);
-               if instrumented then
-                 sink.on_message ~round:!round ~src:v ~dst:u ~words:1
-             end
-           done)
-   end);
+  begin
+    em.Emit.estart <-
+      (fun t u ->
+        if t.Emit.eopen then
+          invalid_arg "Engine.Emit.start: frame already open";
+        let v = t.Emit.enode in
+        let slot = find_port e ~src:v ~dst:u in
+        if slot < 0 then
+          raise
+            (Congestion_violation
+               (Printf.sprintf "round %d: node %d sent to non-neighbor %d"
+                  !round v u));
+        let sd = !nxt in
+        if
+          churn_on
+          && (churn_edge_down.(slot) || churn_crashed.(u)
+             || churn_dormant.(u))
+        then
+          (* frame onto a dead port or to a crashed node: build it (the
+             width budget still applies) but never publish the slot *)
+          t.Emit.edead <- true
+        else begin
+          if sd.wire.(slot) >= 0 then
+            raise
+              (Congestion_violation
+                 (Printf.sprintf "round %d: node %d sent twice over edge to %d"
+                    !round v u));
+          t.Emit.edead <- false
+        end;
+        t.Emit.edst <- u;
+        t.Emit.eslot <- slot;
+        t.Emit.eopen <- true;
+        Codec.attach_writer ~guard t.Emit.ew sd.data ~base:(slot * stride)
+          ~budget:max_words;
+        t.Emit.ew);
+    em.Emit.ecommit <-
+      (fun t ->
+        if not t.Emit.eopen then
+          invalid_arg "Engine.Emit.commit: no open frame";
+        t.Emit.eopen <- false;
+        if t.Emit.edead then incr churn_dropped
+        else begin
+          let sd = !nxt in
+          let slot = t.Emit.eslot and u = t.Emit.edst in
+          let w = Codec.words t.Emit.ew and wire = Codec.seal t.Emit.ew in
+          sd.wire.(slot) <- wire;
+          sd.wlog.(slot) <- w;
+          sd.written.(sd.wlen) <- slot;
+          sd.wlen <- sd.wlen + 1;
+          if sd.count.(u) = 0 then begin
+            sd.active.(sd.alen) <- u;
+            sd.alen <- sd.alen + 1
+          end;
+          sd.count.(u) <- sd.count.(u) + 1;
+          sd.total <- sd.total + 1;
+          sd.words <- sd.words + w;
+          sd.bits <- sd.bits + (word_bits * wire);
+          if instrumented then
+            sink.on_message ~round:!round ~src:t.Emit.enode ~dst:u ~words:w
+        end);
+    (* Broadcast fast path: encode the one-word frame once into a scratch
+       region, then walk the node's contiguous out-port segment directly —
+       no per-neighbor binary search, no per-frame start/commit pair.
+       Totals are batched after the churn-free loop; the churn loop keeps
+       per-slot accounting because dropped ports send nothing. *)
+    let bscratch =
+      Bytes.create (2 * (Codec.max_wire_words + Codec.guard_words))
+    in
+    (* Broadcast memo: consecutive [broadcast1] calls with the same value
+       re-use the encoded scratch frame, so a flood round encodes (and
+       CRCs, when the guard is on) once instead of n times.  Nothing else
+       writes [bscratch], so the memo never goes stale. *)
+    let bmemo_live = ref false and bmemo_a = ref 0 and bmemo_wire = ref 0 in
+    em.Emit.ebroadcast1 <-
+      (fun t a ->
+        if t.Emit.eopen then
+          invalid_arg "Engine.Emit.broadcast1: frame already open";
+        let v = t.Emit.enode in
+        if max_words < 1 then
+          raise
+            (Congestion_violation
+               (Printf.sprintf
+                  "round %d: node %d payload of %d words exceeds %d" !round v
+                  1 max_words));
+        let wire =
+          if !bmemo_live && !bmemo_a = a then !bmemo_wire
+          else begin
+            let w =
+              if guard then Codec.encode1_guarded bscratch ~base:0 a
+              else Codec.encode1 bscratch ~base:0 a
+            in
+            bmemo_live := true;
+            bmemo_a := a;
+            bmemo_wire := w;
+            w
+          end
+        in
+        let sd = !nxt in
+        let first = e.out_off.(v) and stop = e.out_off.(v + 1) in
+        if not churn_on then begin
+          (* arrays hoisted into locals: without flambda every
+             [sd.field.(slot)] reloads the field inside the loop *)
+          let data = sd.data
+          and swire = sd.wire
+          and swlog = sd.wlog
+          and written = sd.written
+          and count = sd.count
+          and active = sd.active
+          and out_dst = e.out_dst in
+          (* every slot of the range is written, so the [written] cursor
+             is [wbase + slot] — no loop-carried ref (a ref would be a
+             per-step allocation on the zero-alloc path) *)
+          let wbase = sd.wlen - first in
+          if wire = 1 && not instrumented then begin
+            (* the lean loop: a small value on an uninstrumented run is
+               one u16 store plus the minimum bookkeeping *)
+            let g = Bytes.get_uint16_le bscratch 0 in
+            for slot = first to stop - 1 do
+              let u = out_dst.(slot) in
+              if swire.(slot) >= 0 then
+                raise
+                  (Congestion_violation
+                     (Printf.sprintf
+                        "round %d: node %d sent twice over edge to %d" !round
+                        v u));
+              Bytes.set_uint16_le data (slot * stride) g;
+              swire.(slot) <- 1;
+              swlog.(slot) <- 1;
+              written.(wbase + slot) <- slot;
+              let c = count.(u) in
+              if c = 0 then begin
+                active.(sd.alen) <- u;
+                sd.alen <- sd.alen + 1
+              end;
+              count.(u) <- c + 1
+            done
+          end
+          else if wire = 2 && not instrumented then begin
+            (* guarded lean loop: a one-word value plus its CRC guard
+               word is exactly one 32-bit store — the stride is always
+               at least [2 * max_wire_words] bytes, so the wide store
+               stays inside the slot's frame region *)
+            let g = Bytes.get_int32_le bscratch 0 in
+            for slot = first to stop - 1 do
+              let u = out_dst.(slot) in
+              if swire.(slot) >= 0 then
+                raise
+                  (Congestion_violation
+                     (Printf.sprintf
+                        "round %d: node %d sent twice over edge to %d" !round
+                        v u));
+              Bytes.set_int32_le data (slot * stride) g;
+              swire.(slot) <- 2;
+              swlog.(slot) <- 1;
+              written.(wbase + slot) <- slot;
+              let c = count.(u) in
+              if c = 0 then begin
+                active.(sd.alen) <- u;
+                sd.alen <- sd.alen + 1
+              end;
+              count.(u) <- c + 1
+            done
+          end
+          else
+            for slot = first to stop - 1 do
+              let u = out_dst.(slot) in
+              if swire.(slot) >= 0 then
+                raise
+                  (Congestion_violation
+                     (Printf.sprintf
+                        "round %d: node %d sent twice over edge to %d" !round
+                        v u));
+              if wire = 1 then
+                Bytes.set_uint16_le data (slot * stride)
+                  (Bytes.get_uint16_le bscratch 0)
+              else Bytes.blit bscratch 0 data (slot * stride) (2 * wire);
+              swire.(slot) <- wire;
+              swlog.(slot) <- 1;
+              written.(wbase + slot) <- slot;
+              let c = count.(u) in
+              if c = 0 then begin
+                active.(sd.alen) <- u;
+                sd.alen <- sd.alen + 1
+              end;
+              count.(u) <- c + 1;
+              if instrumented then
+                sink.on_message ~round:!round ~src:v ~dst:u ~words:1
+            done;
+          let sent = stop - first in
+          sd.wlen <- sd.wlen + sent;
+          sd.total <- sd.total + sent;
+          sd.words <- sd.words + sent;
+          sd.bits <- sd.bits + (word_bits * wire * sent)
+        end
+        else
+          for slot = first to stop - 1 do
+            let u = e.out_dst.(slot) in
+            if
+              churn_edge_down.(slot) || churn_crashed.(u)
+              || churn_dormant.(u)
+            then incr churn_dropped
+            else begin
+              if sd.wire.(slot) >= 0 then
+                raise
+                  (Congestion_violation
+                     (Printf.sprintf
+                        "round %d: node %d sent twice over edge to %d" !round
+                        v u));
+              Bytes.blit bscratch 0 sd.data (slot * stride) (2 * wire);
+              sd.wire.(slot) <- wire;
+              sd.wlog.(slot) <- 1;
+              sd.written.(sd.wlen) <- slot;
+              sd.wlen <- sd.wlen + 1;
+              if sd.count.(u) = 0 then begin
+                sd.active.(sd.alen) <- u;
+                sd.alen <- sd.alen + 1
+              end;
+              sd.count.(u) <- sd.count.(u) + 1;
+              sd.total <- sd.total + 1;
+              sd.words <- sd.words + 1;
+              sd.bits <- sd.bits + (word_bits * wire);
+              if instrumented then
+                sink.on_message ~round:!round ~src:v ~dst:u ~words:1
+            end
+          done)
+  end;
   (* The deferred in-port scan behind [Inbox.ensure]: forward order is
      sender-ascending, preserving the inbox ordering guarantee.  [!cur]
      is the delivery side for the round being stepped. *)
@@ -1523,79 +1497,17 @@ let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       let ib = e.ib in
       ib.Inbox.len <- 0;
       ib.Inbox.fill_node <- v;
+      em.Emit.enode <- v;
       let st =
-        match algo with
-        | A_list a ->
-          let st, outbox = a.step g ~round:r ~node:v states.(v) ib in
-          List.iter
-            (fun (u, p) ->
-              let slot = find_port e ~src:v ~dst:u in
-              if slot < 0 then
-                raise
-                  (Congestion_violation
-                     (Printf.sprintf "round %d: node %d sent to non-neighbor %d" r v u));
-              if
-                churn_on
-                && (churn_edge_down.(slot) || churn_crashed.(u)
-                   || churn_dormant.(u))
-              then begin
-                (* frame onto a dead port or to a crashed node: silently lost
-                   (and counted).  The width check still applies — churn must
-                   not mask an algorithm exceeding its budget — but the
-                   duplicate-slot check cannot (nothing occupies the slot). *)
-                let w = Array.length p in
-                if w > max_words then
-                  raise
-                    (Congestion_violation
-                       (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
-                          r v w max_words));
-                incr churn_dropped
-              end
-              else begin
-              if sd.wire.(slot) >= 0 then
-                raise
-                  (Congestion_violation
-                     (Printf.sprintf "round %d: node %d sent twice over edge to %d" r v u));
-              let w = Array.length p in
-              if w > max_words then
-                raise
-                  (Congestion_violation
-                     (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
-                        r v w max_words));
-              let wire =
-                if guard then Codec.encode_guarded sd.data ~base:(slot * stride) p
-                else Codec.encode sd.data ~base:(slot * stride) p
-              in
-              sd.wire.(slot) <- wire;
-              sd.wlog.(slot) <- w;
-              sd.written.(sd.wlen) <- slot;
-              sd.wlen <- sd.wlen + 1;
-              if sd.count.(u) = 0 then begin
-                sd.active.(sd.alen) <- u;
-                sd.alen <- sd.alen + 1
-              end;
-              sd.count.(u) <- sd.count.(u) + 1;
-              sd.total <- sd.total + 1;
-              sd.words <- sd.words + w;
-              sd.bits <- sd.bits + (word_bits * wire);
-              if instrumented then sink.on_message ~round:r ~src:v ~dst:u ~words:w
-              end)
-            outbox;
-          st
-        | A_emit a ->
-          em.Emit.enode <- v;
-          let st =
-            try a.estep g ~round:r ~node:v states.(v) ib em
-            with Codec.Width_exceeded { budget; words } ->
-              raise
-                (Congestion_violation
-                   (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
-                      r v words budget))
-          in
-          if em.Emit.eopen then
-            invalid_arg "Engine.Emit: frame left open at end of step";
-          st
+        try algo.estep g ~round:r ~node:v states.(v) ib em
+        with Codec.Width_exceeded { budget; words } ->
+          raise
+            (Congestion_violation
+               (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
+                  r v words budget))
       in
+      if em.Emit.eopen then
+        invalid_arg "Engine.Emit: frame left open at end of step";
       states.(v) <- st;
       if a_halted st then begin
         is_live.(v) <- false;
@@ -1908,12 +1820,8 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       p
   in
   e.running <- true;
-  let a_init, a_halted, a_wake =
-    match algo with
-    | A_list a -> (a.init, a.halted, a.wake)
-    | A_emit a -> (a.einit, a.ehalted, a.ewake)
-  in
-  let states = Array.init n (fun v -> a_init g v) in
+  let a_halted = algo.ehalted and a_wake = algo.ewake in
+  let states = Array.init n (fun v -> algo.einit g v) in
   (* shared per-node / per-port arrays; each entry has one owning shard *)
   let is_live = Array.make (max 1 n) false in
   let is_always = Array.make (max 1 n) false in
@@ -2138,34 +2046,130 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
     sh.sh_vexn <- Some exn;
     raise Stop_shard
   in
-  (* Per-shard emitters: same checks and bookkeeping as the list path's
-     store loop, but the frame is encoded directly into the shared send
+  (* Per-shard emitters: same checks and bookkeeping as the sequential
+     emitter, but the frame is encoded directly into the shared send
      arena by its unique sender.  Cross-shard destinations get an int
      push; the owning destination shard completes the receiver-side
      bookkeeping at phase B. *)
-  (match algo with
-  | A_list _ -> ()
-  | A_emit _ ->
-    Array.iteri
-      (fun s sh ->
-        let em = sh.sh_em in
-        em.Emit.estart <-
-          (fun t u ->
-            if t.Emit.eopen then
-              invalid_arg "Engine.Emit.start: frame already open";
-            let v = t.Emit.enode in
-            let r = !round in
-            let slot = find_port e ~src:v ~dst:u in
-            if slot < 0 then
+  Array.iteri
+    (fun s sh ->
+      let em = sh.sh_em in
+      em.Emit.estart <-
+        (fun t u ->
+          if t.Emit.eopen then
+            invalid_arg "Engine.Emit.start: frame already open";
+          let v = t.Emit.enode in
+          let r = !round in
+          let slot = find_port e ~src:v ~dst:u in
+          if slot < 0 then
+            record sh v 1
+              (Congestion_violation
+                 (Printf.sprintf "round %d: node %d sent to non-neighbor %d"
+                    r v u));
+          if
+            churn_on
+            && (churn_edge_down.(slot) || churn_crashed.(u)
+               || churn_dormant.(u))
+          then t.Emit.edead <- true
+          else begin
+            if sent_stamp.(slot) = r then
               record sh v 1
                 (Congestion_violation
-                   (Printf.sprintf "round %d: node %d sent to non-neighbor %d"
-                      r v u));
+                   (Printf.sprintf
+                      "round %d: node %d sent twice over edge to %d" r v u));
+            sent_stamp.(slot) <- r;
+            t.Emit.edead <- false
+          end;
+          t.Emit.edst <- u;
+          t.Emit.eslot <- slot;
+          t.Emit.eopen <- true;
+          let sdata = if !cur_is_a then data_b else data_a in
+          Codec.attach_writer ~guard t.Emit.ew sdata ~base:(slot * stride)
+            ~budget:max_words;
+          t.Emit.ew);
+      em.Emit.ecommit <-
+        (fun t ->
+          if not t.Emit.eopen then
+            invalid_arg "Engine.Emit.commit: no open frame";
+          t.Emit.eopen <- false;
+          if t.Emit.edead then
+            sh.sh_send_dropped <- sh.sh_send_dropped + 1
+          else begin
+            let slot = t.Emit.eslot and u = t.Emit.edst in
+            let w = Codec.words t.Emit.ew
+            and wire = Codec.seal t.Emit.ew in
+            let swire = if !cur_is_a then wire_b else wire_a in
+            let swlog = if !cur_is_a then wlog_b else wlog_a in
+            swire.(slot) <- wire;
+            swlog.(slot) <- w;
+            let tgt = shard_of.(u) in
+            if tgt = s then begin
+              let svb = sbuf_of sh ~delivery:false in
+              let scount = if !cur_is_a then count_b else count_a in
+              svb.s_written.(svb.s_wlen) <- slot;
+              svb.s_wlen <- svb.s_wlen + 1;
+              if scount.(u) = 0 then begin
+                svb.s_active.(svb.s_alen) <- u;
+                svb.s_alen <- svb.s_alen + 1
+              end;
+              scount.(u) <- scount.(u) + 1;
+              svb.s_total <- svb.s_total + 1;
+              svb.s_words <- svb.s_words + w;
+              svb.s_bits <- svb.s_bits + (word_bits * wire)
+            end
+            else xpush xas.(s).(tgt) slot;
+            sh.sh_emitted <- sh.sh_emitted + 1;
+            if instrumented then evpush sh t.Emit.enode u w
+          end);
+      (* Broadcast fast path, sharded: encode once into the shard's
+         scratch, then walk the sender's contiguous out-port segment —
+         every slot belongs to this shard's sender, so the writes race
+         with nobody; only the cross-shard pushes go through [xpush]. *)
+      let bscratch =
+        Bytes.create (2 * (Codec.max_wire_words + Codec.guard_words))
+      in
+      (* Broadcast memo (see the sequential executor): one encode per
+         distinct consecutive value, per shard. *)
+      let bmemo_live = ref false
+      and bmemo_a = ref 0
+      and bmemo_wire = ref 0 in
+      em.Emit.ebroadcast1 <-
+        (fun t a ->
+          if t.Emit.eopen then
+            invalid_arg "Engine.Emit.broadcast1: frame already open";
+          let v = t.Emit.enode in
+          let r = !round in
+          if max_words < 1 then
+            record sh v 1
+              (Congestion_violation
+                 (Printf.sprintf
+                    "round %d: node %d payload of %d words exceeds %d" r v 1
+                    max_words));
+          let wire =
+            if !bmemo_live && !bmemo_a = a then !bmemo_wire
+            else begin
+              let w =
+                if guard then Codec.encode1_guarded bscratch ~base:0 a
+                else Codec.encode1 bscratch ~base:0 a
+              in
+              bmemo_live := true;
+              bmemo_a := a;
+              bmemo_wire := w;
+              w
+            end
+          in
+          let sdata = if !cur_is_a then data_b else data_a in
+          let swire = if !cur_is_a then wire_b else wire_a in
+          let swlog = if !cur_is_a then wlog_b else wlog_a in
+          let scount = if !cur_is_a then count_b else count_a in
+          let svb = sbuf_of sh ~delivery:false in
+          for slot = e.out_off.(v) to e.out_off.(v + 1) - 1 do
+            let u = e.out_dst.(slot) in
             if
               churn_on
               && (churn_edge_down.(slot) || churn_crashed.(u)
                  || churn_dormant.(u))
-            then t.Emit.edead <- true
+            then sh.sh_send_dropped <- sh.sh_send_dropped + 1
             else begin
               if sent_stamp.(slot) = r then
                 record sh v 1
@@ -2173,34 +2177,19 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
                      (Printf.sprintf
                         "round %d: node %d sent twice over edge to %d" r v u));
               sent_stamp.(slot) <- r;
-              t.Emit.edead <- false
-            end;
-            t.Emit.edst <- u;
-            t.Emit.eslot <- slot;
-            t.Emit.eopen <- true;
-            let sdata = if !cur_is_a then data_b else data_a in
-            Codec.attach_writer ~guard t.Emit.ew sdata ~base:(slot * stride)
-              ~budget:max_words;
-            t.Emit.ew);
-        em.Emit.ecommit <-
-          (fun t ->
-            if not t.Emit.eopen then
-              invalid_arg "Engine.Emit.commit: no open frame";
-            t.Emit.eopen <- false;
-            if t.Emit.edead then
-              sh.sh_send_dropped <- sh.sh_send_dropped + 1
-            else begin
-              let slot = t.Emit.eslot and u = t.Emit.edst in
-              let w = Codec.words t.Emit.ew
-              and wire = Codec.seal t.Emit.ew in
-              let swire = if !cur_is_a then wire_b else wire_a in
-              let swlog = if !cur_is_a then wlog_b else wlog_a in
+              (* width-specialized stores: the 1- and 2-word (guarded)
+                 broadcast frames skip the blit call entirely *)
+              if wire = 1 then
+                Bytes.set_uint16_le sdata (slot * stride)
+                  (Bytes.get_uint16_le bscratch 0)
+              else if wire = 2 then
+                Bytes.set_int32_le sdata (slot * stride)
+                  (Bytes.get_int32_le bscratch 0)
+              else Bytes.blit bscratch 0 sdata (slot * stride) (2 * wire);
               swire.(slot) <- wire;
-              swlog.(slot) <- w;
+              swlog.(slot) <- 1;
               let tgt = shard_of.(u) in
               if tgt = s then begin
-                let svb = sbuf_of sh ~delivery:false in
-                let scount = if !cur_is_a then count_b else count_a in
                 svb.s_written.(svb.s_wlen) <- slot;
                 svb.s_wlen <- svb.s_wlen + 1;
                 if scount.(u) = 0 then begin
@@ -2209,99 +2198,15 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
                 end;
                 scount.(u) <- scount.(u) + 1;
                 svb.s_total <- svb.s_total + 1;
-                svb.s_words <- svb.s_words + w;
+                svb.s_words <- svb.s_words + 1;
                 svb.s_bits <- svb.s_bits + (word_bits * wire)
               end
               else xpush xas.(s).(tgt) slot;
               sh.sh_emitted <- sh.sh_emitted + 1;
-              if instrumented then evpush sh t.Emit.enode u w
-            end);
-        (* Broadcast fast path, sharded: encode once into the shard's
-           scratch, then walk the sender's contiguous out-port segment —
-           every slot belongs to this shard's sender, so the writes race
-           with nobody; only the cross-shard pushes go through [xpush]. *)
-        let bscratch =
-          Bytes.create (2 * (Codec.max_wire_words + Codec.guard_words))
-        in
-        (* Broadcast memo (see the sequential executor): one encode per
-           distinct consecutive value, per shard. *)
-        let bmemo_live = ref false
-        and bmemo_a = ref 0
-        and bmemo_wire = ref 0 in
-        em.Emit.ebroadcast1 <-
-          (fun t a ->
-            if t.Emit.eopen then
-              invalid_arg "Engine.Emit.broadcast1: frame already open";
-            let v = t.Emit.enode in
-            let r = !round in
-            if max_words < 1 then
-              record sh v 1
-                (Congestion_violation
-                   (Printf.sprintf
-                      "round %d: node %d payload of %d words exceeds %d" r v 1
-                      max_words));
-            let wire =
-              if !bmemo_live && !bmemo_a = a then !bmemo_wire
-              else begin
-                let w =
-                  if guard then Codec.encode1_guarded bscratch ~base:0 a
-                  else Codec.encode1 bscratch ~base:0 a
-                in
-                bmemo_live := true;
-                bmemo_a := a;
-                bmemo_wire := w;
-                w
-              end
-            in
-            let sdata = if !cur_is_a then data_b else data_a in
-            let swire = if !cur_is_a then wire_b else wire_a in
-            let swlog = if !cur_is_a then wlog_b else wlog_a in
-            let scount = if !cur_is_a then count_b else count_a in
-            let svb = sbuf_of sh ~delivery:false in
-            for slot = e.out_off.(v) to e.out_off.(v + 1) - 1 do
-              let u = e.out_dst.(slot) in
-              if
-                churn_on
-                && (churn_edge_down.(slot) || churn_crashed.(u)
-                   || churn_dormant.(u))
-              then sh.sh_send_dropped <- sh.sh_send_dropped + 1
-              else begin
-                if sent_stamp.(slot) = r then
-                  record sh v 1
-                    (Congestion_violation
-                       (Printf.sprintf
-                          "round %d: node %d sent twice over edge to %d" r v u));
-                sent_stamp.(slot) <- r;
-                (* width-specialized stores: the 1- and 2-word (guarded)
-                   broadcast frames skip the blit call entirely *)
-                if wire = 1 then
-                  Bytes.set_uint16_le sdata (slot * stride)
-                    (Bytes.get_uint16_le bscratch 0)
-                else if wire = 2 then
-                  Bytes.set_int32_le sdata (slot * stride)
-                    (Bytes.get_int32_le bscratch 0)
-                else Bytes.blit bscratch 0 sdata (slot * stride) (2 * wire);
-                swire.(slot) <- wire;
-                swlog.(slot) <- 1;
-                let tgt = shard_of.(u) in
-                if tgt = s then begin
-                  svb.s_written.(svb.s_wlen) <- slot;
-                  svb.s_wlen <- svb.s_wlen + 1;
-                  if scount.(u) = 0 then begin
-                    svb.s_active.(svb.s_alen) <- u;
-                    svb.s_alen <- svb.s_alen + 1
-                  end;
-                  scount.(u) <- scount.(u) + 1;
-                  svb.s_total <- svb.s_total + 1;
-                  svb.s_words <- svb.s_words + 1;
-                  svb.s_bits <- svb.s_bits + (word_bits * wire)
-                end
-                else xpush xas.(s).(tgt) slot;
-                sh.sh_emitted <- sh.sh_emitted + 1;
-                if instrumented then evpush sh v u 1
-              end
-            done))
-      shards);
+              if instrumented then evpush sh v u 1
+            end
+          done))
+    shards;
   (* Per-shard deferred in-port scans (see the sequential executor): the
      delivery side is re-derived from [cur_is_a] at fill time, and every
      filled slot was published at the last frame exchange, so the lazy
@@ -2330,15 +2235,10 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
     let r = !round in
     let v_min = !vmin_flag in
     let dvb = sbuf_of sh ~delivery:true in
-    let svb = sbuf_of sh ~delivery:false in
     let ddata = if !cur_is_a then data_a else data_b in
     let dwire = if !cur_is_a then wire_a else wire_b in
     let dwlog = if !cur_is_a then wlog_a else wlog_b in
     let dcount = if !cur_is_a then count_a else count_b in
-    let sdata = if !cur_is_a then data_b else data_a in
-    let swire = if !cur_is_a then wire_b else wire_a in
-    let swlog = if !cur_is_a then wlog_b else wlog_a in
-    let scount = if !cur_is_a then count_b else count_a in
     Inbox.attach sh.sh_ib ~data:ddata ~wire:dwire ~wlog:dwlog ~stride;
     sh.sh_stepped <- 0;
     sh.sh_woken <- 0;
@@ -2370,99 +2270,25 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       let ib = sh.sh_ib in
       ib.Inbox.len <- 0;
       ib.Inbox.fill_node <- v;
+      let em = sh.sh_em in
+      em.Emit.enode <- v;
       let st =
-        match algo with
-        | A_list a ->
-          let st, outbox =
-            try a.step g ~round:r ~node:v states.(v) ib
-            with
-            | Stop_shard as exn -> raise exn
-            | exn -> record sh v 1 exn
-          in
-          List.iter
-            (fun (u, p) ->
-              let slot = find_port e ~src:v ~dst:u in
-              if slot < 0 then
-                record sh v 1
-                  (Congestion_violation
-                     (Printf.sprintf "round %d: node %d sent to non-neighbor %d" r
-                        v u));
-              if
-                churn_on
-                && (churn_edge_down.(slot) || churn_crashed.(u)
-                   || churn_dormant.(u))
-              then begin
-                let w = Array.length p in
-                if w > max_words then
-                  record sh v 1
-                    (Congestion_violation
-                       (Printf.sprintf
-                          "round %d: node %d payload of %d words exceeds %d" r v w
-                          max_words));
-                sh.sh_send_dropped <- sh.sh_send_dropped + 1
-              end
-              else begin
-                if sent_stamp.(slot) = r then
-                  record sh v 1
-                    (Congestion_violation
-                       (Printf.sprintf "round %d: node %d sent twice over edge to %d"
-                          r v u));
-                let w = Array.length p in
-                if w > max_words then
-                  record sh v 1
-                    (Congestion_violation
-                       (Printf.sprintf
-                          "round %d: node %d payload of %d words exceeds %d" r v w
-                          max_words));
-                sent_stamp.(slot) <- r;
-                let wire =
-                  if guard then
-                    Codec.encode_guarded sdata ~base:(slot * stride) p
-                  else Codec.encode sdata ~base:(slot * stride) p
-                in
-                swire.(slot) <- wire;
-                swlog.(slot) <- w;
-                let t = shard_of.(u) in
-                if t = s then begin
-                  svb.s_written.(svb.s_wlen) <- slot;
-                  svb.s_wlen <- svb.s_wlen + 1;
-                  if scount.(u) = 0 then begin
-                    svb.s_active.(svb.s_alen) <- u;
-                    svb.s_alen <- svb.s_alen + 1
-                  end;
-                  scount.(u) <- scount.(u) + 1;
-                  svb.s_total <- svb.s_total + 1;
-                  svb.s_words <- svb.s_words + w;
-                  svb.s_bits <- svb.s_bits + (word_bits * wire)
-                end
-                else xpush xas.(s).(t) slot;
-                sh.sh_emitted <- sh.sh_emitted + 1;
-                if instrumented then evpush sh v u w
-              end)
-            outbox;
-          st
-        | A_emit a ->
-          let em = sh.sh_em in
-          em.Emit.enode <- v;
-          let st =
-            try a.estep g ~round:r ~node:v states.(v) ib em
-            with
-            | Stop_shard as exn -> raise exn
-            | Codec.Width_exceeded { budget; words } ->
-              record sh v 1
-                (Congestion_violation
-                   (Printf.sprintf
-                      "round %d: node %d payload of %d words exceeds %d" r v
-                      words budget))
-            | exn -> record sh v 1 exn
-          in
-          if em.Emit.eopen then begin
-            em.Emit.eopen <- false;
-            record sh v 1
-              (Invalid_argument "Engine.Emit: frame left open at end of step")
-          end;
-          st
+        try algo.estep g ~round:r ~node:v states.(v) ib em
+        with
+        | Stop_shard as exn -> raise exn
+        | Codec.Width_exceeded { budget; words } ->
+          record sh v 1
+            (Congestion_violation
+               (Printf.sprintf
+                  "round %d: node %d payload of %d words exceeds %d" r v
+                  words budget))
+        | exn -> record sh v 1 exn
       in
+      if em.Emit.eopen then begin
+        em.Emit.eopen <- false;
+        record sh v 1
+          (Invalid_argument "Engine.Emit: frame left open at end of step")
+      end;
       states.(v) <- st;
       if a_halted st then begin
         is_live.(v) <- false;
@@ -2937,13 +2763,14 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   if instrumented then sink.on_finish ();
   (states, { rounds = !round; messages = !messages; max_inflight = !max_inflight })
 
-(* When [exec] is called without [?domains] this reference supplies the
-   default — the hook [kdom_cli --domains] threads parallelism through
-   composite algorithms whose inner [Runtime.run] calls cannot be reached
-   syntactically.  1 = the sequential engine, the bit-exact baseline. *)
+(* When [exec_emit] is called without [?domains] this reference supplies
+   the default — the hook [kdom_cli --domains] threads parallelism through
+   composite algorithms whose inner [Engine.run_emit] calls cannot be
+   reached syntactically.  1 = the sequential engine, the bit-exact
+   baseline. *)
 let default_domains = ref 1
 
-let exec_any ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
+let exec_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
     ?domains ?partition e algo =
   if e.running then
     invalid_arg "Engine.exec: engine already running (re-entrant call)";
@@ -2962,88 +2789,51 @@ let exec_any ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
     e.running <- false;
     raise exn
 
-let exec ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt ?domains
-    ?partition e algo =
-  exec_any ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition e (A_list algo)
-
-let exec_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition e ealgo =
-  exec_any ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition e (A_emit ealgo)
-
-let run ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt ?domains
-    ?partition g algo =
-  exec ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt ?domains
-    ?partition (create g) algo
-
 let run_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition g ealgo =
+    ?domains ?partition g algo =
   exec_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition (create g) ealgo
+    ?domains ?partition (create g) algo
 
-(* The emit -> list compat adapter: wraps an emit-native algorithm into the
-   legacy list-returning shape so it can run under [run_reference], the
-   async layer, or any harness that still consumes [algorithm].  All emit
-   state is step-local (one small writer per step), so the adapted
-   algorithm is safe under the sharded executor too.  With [?max_words]
-   the scratch writer enforces the same budget at the same put — raising
-   the same [Congestion_violation] text the engine's emit path produces —
-   so differential runs agree byte-for-byte; without it frames are
-   unbounded here and the executor's own width check applies instead. *)
-let to_algorithm ?max_words (ea : 'st ealgorithm) : 'st algorithm =
-  let budget = match max_words with Some w -> w | None -> max_int in
-  {
-    init = ea.einit;
-    step =
-      (fun g ~round ~node st ib ->
-        let em = Emit.make () in
-        let acc = ref [] in
-        em.Emit.estart <-
-          (fun t u ->
-            if t.Emit.eopen then
-              invalid_arg "Engine.Emit.start: frame already open";
-            t.Emit.edst <- u;
-            t.Emit.eopen <- true;
-            Codec.scratch_writer t.Emit.ew ~budget;
-            t.Emit.ew);
-        em.Emit.ecommit <-
-          (fun t ->
-            if not t.Emit.eopen then
-              invalid_arg "Engine.Emit.commit: no open frame";
-            t.Emit.eopen <- false;
-            let p =
-              Codec.decode (Codec.writer_bytes t.Emit.ew) ~base:0
-                ~wire:(Codec.wire t.Emit.ew) ~words:(Codec.words t.Emit.ew)
-            in
-            acc := (t.Emit.edst, p) :: !acc);
-        em.Emit.ebroadcast1 <-
-          (fun t a ->
-            if t.Emit.eopen then
-              invalid_arg "Engine.Emit.broadcast1: frame already open";
-            if budget < 1 then
-              raise (Codec.Width_exceeded { budget; words = 1 });
-            (* pushed in descending order: the step's whole send list is
-               reversed once at the end, so these come out ascending — the
-               same per-slot order the packed engine's broadcast writes. *)
-            let nbrs = Graph.neighbors g t.Emit.enode in
-            for i = Array.length nbrs - 1 downto 0 do
-              let u, _ = nbrs.(i) in
-              acc := (u, [| a |]) :: !acc
-            done);
-        em.Emit.enode <- node;
-        let st =
-          try ea.estep g ~round ~node st ib em
-          with Codec.Width_exceeded { budget; words } ->
-            raise
-              (Congestion_violation
-                 (Printf.sprintf
-                    "round %d: node %d payload of %d words exceeds %d" round
-                    node words budget))
-        in
-        if em.Emit.eopen then
-          invalid_arg "Engine.Emit: frame left open at end of step";
-        (st, List.rev !acc));
-    halted = ea.ehalted;
-    wake = ea.ewake;
-  }
+(* Step one node outside any executor: a private emitter whose writer is
+   in scratch mode collects the frames as boxed [(dst, payload)] pairs, in
+   the order the step emitted them.  This is how the reference simulator
+   and the asynchronous executors, which deliver boxed payloads, run the
+   one algorithm shape.  The writer enforces [max_words] at the same put
+   the engine's arena writer would, so a width violation surfaces as the
+   same [Codec.Width_exceeded]; the caller words the violation.  Neighbor
+   and duplicate-edge checks are left to the caller, which owns the port
+   map.  The emitter is step-local, so this allocates per frame. *)
+let collect_step ~max_words (algo : 'st ealgorithm) g ~round ~node st ib =
+  let em = Emit.make () in
+  let out = ref [] in
+  em.Emit.enode <- node;
+  em.Emit.estart <-
+    (fun t u ->
+      if t.Emit.eopen then invalid_arg "Engine.Emit.start: frame already open";
+      t.Emit.edst <- u;
+      t.Emit.eopen <- true;
+      Codec.scratch_writer t.Emit.ew ~budget:max_words;
+      t.Emit.ew);
+  em.Emit.ecommit <-
+    (fun t ->
+      if not t.Emit.eopen then invalid_arg "Engine.Emit.commit: no open frame";
+      t.Emit.eopen <- false;
+      let p =
+        Codec.decode (Codec.writer_bytes t.Emit.ew) ~base:0
+          ~wire:(Codec.wire t.Emit.ew) ~words:(Codec.words t.Emit.ew)
+      in
+      out := (t.Emit.edst, p) :: !out);
+  em.Emit.ebroadcast1 <-
+    (fun t a ->
+      if t.Emit.eopen then
+        invalid_arg "Engine.Emit.broadcast1: frame already open";
+      if max_words < 1 then
+        raise (Codec.Width_exceeded { budget = max_words; words = 1 });
+      (* ascending neighbor order, the per-slot order the engine's
+         broadcast writes *)
+      Array.iter (fun (u, _) -> out := (u, [| a |]) :: !out)
+        (Graph.neighbors g node));
+  let st = algo.estep g ~round ~node st ib em in
+  if em.Emit.eopen then
+    invalid_arg "Engine.Emit: frame left open at end of step";
+  (st, List.rev !out)

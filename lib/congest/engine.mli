@@ -5,18 +5,17 @@
     two swapped, slot-indexed {e packed frame arenas}: each buffer direction
     is one flat [Bytes] with a fixed stride per slot, frames encoded as
     16-bit model words by {!Codec}.  Compared to the list-based reference
-    runtime ({!Runtime.run_reference}) this gives:
+    simulator ({!Reference.run}) this gives:
 
     - O(log deg) neighbor validation, duplicate-send detection and width
       checks per outbound message (binary search of the sender's sorted CSR
       segment plus a slot-occupancy test), instead of a per-message edge
       search and a per-step scratch table — and no O(m) hash table;
     - zero per-round allocation in the delivery machinery: inboxes are a
-      zero-copy {!Inbox.t} view over the arena, so the hot path allocates
-      only what [step] itself allocates — and with the {!Emit} fast path
-      ({!ealgorithm}) the send side is allocation-free too: frames are
-      encoded straight into the destination slot, no payload array, no
-      cons cell;
+      zero-copy {!Inbox.t} view over the arena, and sends go through
+      {!Emit}, which encodes frames straight into the destination slot —
+      no payload array, no cons cell — so the hot path allocates only what
+      [estep] itself allocates;
     - {e measured} congestion accounting: every frame's width is the wire
       length its values actually encode to ({!Codec.measured_bits}), so
       word budgets and per-round bit counters
@@ -51,18 +50,13 @@ type payload = int array
     for a node id, a depth, or an edge weight (weights are polynomial in
     [n], §1.2 of the paper). *)
 
-type inbox = (int * payload) list
-(** The legacy list shape of an inbox: [(sender, payload)] in increasing
-    sender id.  [step] now receives an {!Inbox.t} view instead; use
-    {!Inbox.to_list} / {!list_step} to keep list-based code working. *)
-
 (** Zero-copy view over the engine's reusable inbox arena: the messages
     delivered to the node being stepped, as flat sender / payload arrays in
     strictly increasing sender id.
 
     {b Lifetime.}  The engine reuses one arena for every step, so a view
     (and the payload arrays it exposes) is only valid for the duration of
-    the [step] call it was passed to.  Retain {!to_list} (or copies), never
+    the [step] call it was passed to.  Retain copies of what it exposes, never
     the [t] itself. *)
 module Inbox : sig
   type t
@@ -76,8 +70,8 @@ module Inbox : sig
 
   val payload : t -> int -> payload
   (** [payload ib i] is the [i]-th payload, decoded from the packed arena
-      into a fresh array (compat path — allocates).  Emit-native
-      algorithms should prefer {!read}, which decodes in place. *)
+      into a fresh array (allocates).  Hot steps should prefer {!read},
+      which decodes in place. *)
 
   val words : t -> int -> int
   (** [words ib i] is the logical word count of the [i]-th frame, without
@@ -93,12 +87,9 @@ module Inbox : sig
   val iter : (int -> payload -> unit) -> t -> unit
   val fold : ('a -> int -> payload -> 'a) -> 'a -> t -> 'a
 
-  val to_list : t -> (int * payload) list
-  (** Materialize as the legacy list shape (allocates). *)
-
   val of_list : (int * payload) list -> t
-  (** Build a standalone view from a list (for reference runtimes, tests
-      and synchronizers; the result owns fresh arrays and has no lifetime
+  (** Build a standalone view from a list (for {!Reference}, the async
+      executors and tests; the result owns fresh arrays and has no lifetime
       restriction).  The list must already be sender-ascending. *)
 end
 
@@ -123,31 +114,14 @@ type wake =
           exactly the information it had last round, so stepping it could
           only repeat a state transition it already made (DESIGN.md §9). *)
 
-type 'st algorithm = {
-  init : Graph.t -> int -> 'st;
-      (** Initial state of each node.  A node knows [n], its own id, its
-          incident edges and their weights — nothing else. *)
-  step :
-    Graph.t -> round:int -> node:int -> 'st -> Inbox.t -> 'st * (int * payload) list;
-      (** One synchronous step: consume the inbox view, return the new
-          state and the outbox as [(neighbor, payload)] pairs. *)
-  halted : 'st -> bool;
-      (** A halted node no longer steps; it is an error for a halted node
-          to receive a message. *)
-  wake : 'st -> wake;
-      (** Scheduling hint derived from the post-step state; see {!wake}.
-          Use {!always} when unsure — it is always sound. *)
-}
-
 (** The allocation-free send path.  An emitter is a reusable cursor owned
-    by the executor: {!start} performs the same checks as the list path
-    (non-neighbor, duplicate edge) and positions a shared {!Codec.writer}
+    by the executor: {!start} checks the destination (non-neighbor,
+    duplicate edge) and positions a shared {!Codec.writer}
     directly on the destination slot's arena region; the algorithm
     {!Codec.put}s the frame's words (the word budget is enforced per put —
-    exceeding it raises the same [Congestion_violation] the list path
-    produces); {!commit} publishes the frame.  Exactly one frame may be
-    open at a time, and every started frame must be committed before
-    [step] returns.
+    exceeding it raises [Congestion_violation]); {!commit} publishes the
+    frame.  Exactly one frame may be open at a time, and every started
+    frame must be committed before [estep] returns.
 
     [frame1]..[frame4] emit fixed-shape frames without any closure;
     {!send} is the [emit ~dst (fun w -> ...)] flavor (the closure itself
@@ -186,45 +160,51 @@ end
 
 type 'st ealgorithm = {
   einit : Graph.t -> int -> 'st;
+      (** Initial state of each node.  A node knows [n], its own id, its
+          incident edges and their weights — nothing else. *)
   estep : Graph.t -> round:int -> node:int -> 'st -> Inbox.t -> Emit.t -> 'st;
-      (** One synchronous step on the emit fast path: consume the inbox
-          view (prefer {!Inbox.read}), emit frames through the emitter,
-          return the new state. *)
+      (** One synchronous step: consume the inbox view (prefer
+          {!Inbox.read}), emit frames through the emitter, return the new
+          state. *)
   ehalted : 'st -> bool;
+      (** A halted node no longer steps; it is an error for a halted node
+          to receive a message. *)
   ewake : 'st -> wake;
+      (** Scheduling hint derived from the post-step state; see {!wake}.
+          Use {!always} when unsure — it is always sound. *)
 }
-(** The emit-native algorithm shape: identical semantics to {!algorithm}
-    — same checks, same violation messages, same scheduling — but sends
-    go through {!Emit} instead of a returned list, so a steady-state step
-    can run without allocating.  Run with {!exec_emit}/{!run_emit}, or
-    adapt to the legacy shape with {!to_algorithm}. *)
+(** The one algorithm shape: a node program whose sends go through {!Emit},
+    so a steady-state step can run without allocating.  Run it with
+    {!exec_emit}/{!run_emit}, {!Reference.run} or the asynchronous
+    executors in {!Async}.
 
-val to_algorithm : ?max_words:int -> 'st ealgorithm -> 'st algorithm
-(** Compat adapter: wrap an emit-native algorithm into the legacy
-    list-returning shape (for {!Runtime.run_reference}, the async layer,
-    or any harness consuming {!algorithm}).  Each step uses a private
-    scratch emitter, so the result is safe under the sharded executor.
-    Pass the [max_words] the algorithm will be executed with to get
-    byte-identical width violations to the engine's emit path (the
-    scratch writer then enforces the budget at the same put); without it
-    frames are unbounded here and the executor's own width check applies.
-    The adapter allocates per frame — it is the compatibility path, not
-    the fast path. *)
+    {b Send order.}  The order in which one step emits its frames is part
+    of the algorithm's observable behaviour, not an implementation detail:
+    sinks see [on_message] in that order, and {!Async} draws one link
+    delay (and one fault decision) per frame in that order.  Inbox order
+    is unaffected — deliveries are always sender-ascending. *)
 
-val always : 'st -> wake
-(** [always _ = Always] — the default wake hint; reproduces the legacy
-    every-round schedule exactly. *)
-
-val list_step :
-  (Graph.t -> round:int -> node:int -> 'st -> inbox -> 'st * (int * payload) list) ->
+val collect_step :
+  max_words:int ->
+  'st ealgorithm ->
   Graph.t ->
   round:int ->
   node:int ->
   'st ->
   Inbox.t ->
   'st * (int * payload) list
-(** [list_step f] adapts a legacy list-based step function to the
-    {!Inbox.t} interface (materializes the view with {!Inbox.to_list}). *)
+(** Step one node outside the engine and return its new state and the
+    frames it emitted as boxed [(dst, payload)] pairs, in send order —
+    {!Emit.broadcast1} expands to ascending neighbor order, as in the
+    engine.  The executors that deliver boxed payloads ({!Reference},
+    {!Async}) consume algorithms through this.  The scratch writer
+    enforces [max_words] at the same put the engine would, raising
+    {!Codec.Width_exceeded}; the caller words the violation and performs
+    the neighbor and duplicate-edge checks.  Allocates per frame. *)
+
+val always : 'st -> wake
+(** [always _ = Always] — the default wake hint; reproduces the legacy
+    every-round schedule exactly. *)
 
 type stats = {
   rounds : int;  (** rounds executed until quiescence *)
@@ -361,8 +341,8 @@ end
 type t
 (** An engine instance: the port map for one graph plus reusable mailbox,
     frontier and inbox-arena buffers.  Building one costs [O(n + m)];
-    [exec] reuses it across runs with no further setup.  Not re-entrant: a
-    [step] function must not call [exec] on the engine currently executing
+    [exec_emit] reuses it across runs with no further setup.  Not
+    re-entrant: an [estep] function must not call [exec_emit] on the engine currently executing
     it. *)
 
 val create : Graph.t -> t
@@ -392,7 +372,7 @@ val find_port : t -> src:int -> dst:int -> int
     The port map is never rebuilt: a dead port silently drops the frames
     routed through it (counted in {!Sink.round_info.dropped}) and a crashed
     node's slots read as empty to the arena inbox fill, so churn composes
-    with the sparse scheduler and with {!Runtime.run_reference} unchanged.
+    with the sparse scheduler and with {!Reference.run} unchanged.
 
     Semantics, per event at round [r] (applied before round [r] executes):
     {ul
@@ -423,7 +403,7 @@ val find_port : t -> src:int -> dst:int -> int
        apart from failures.}}
 
     Events scheduled after quiescence never apply.  The compiled value is
-    mutable but [exec] resets it on entry, so one value can be reused
+    mutable but [exec_emit] resets it on entry, so one value can be reused
     across runs (engine and reference) deterministically. *)
 type engine := t
 
@@ -464,7 +444,7 @@ module Churn : sig
   (** Round of the last scheduled event, [-1] for an empty schedule. *)
 
   val reset : t -> unit
-  (** Rewind the mutable view to the pre-run state (also done by [exec]). *)
+  (** Rewind the mutable view to the pre-run state (also done by [exec_emit]). *)
 
   val crashed : t -> int -> bool
   (** Current view: whether the node has fail-stopped (or departed). *)
@@ -482,7 +462,7 @@ module Churn : sig
   (** Apply every event due at or before [round] to the liveness views
       (no frame dropping — that is the caller's job) and return the
       per-kind counts of events that took effect.  For executors without a
-      port map, i.e. {!Runtime.run_reference}. *)
+      port map, i.e. {!Reference.run}. *)
 
   val final_alive : t -> bool array
   (** Liveness after the {e whole} schedule, regardless of where the run
@@ -502,7 +482,7 @@ end
     reference executors corrupt — and drop — exactly the same frames
     regardless of iteration order.
 
-    Passing [?corrupt] to [exec]/[run] forces the {!Codec} guard word onto
+    Passing [?corrupt] to [exec_emit]/[run_emit] forces the {!Codec} guard word onto
     every frame (as if [~guard:true]): the delivery pass re-verifies each
     garbled frame's CRC and kills what the guard catches, so {e algorithm
     code never decodes a lying byte} — a corrupted frame is either dropped
@@ -557,7 +537,7 @@ module Corrupt : sig
   (** The ramp multiplier in force at [round]. *)
 
   val decide : cseed:int -> round:int -> slot:int -> lane:int -> int
-  (** The decision hash.  Exposed so {!Runtime.run_reference} and the
+  (** The decision hash.  Exposed so {!Reference.run} and the
       fault layers reach verdicts identical to the engine's. *)
 
   val threshold : float -> int
@@ -572,14 +552,14 @@ module Corrupt : sig
 end
 
 val default_domains : int ref
-(** The domain count [exec] uses when [?domains] is not passed (initially
+(** The domain count [exec_emit] uses when [?domains] is not passed (initially
     [1], the sequential engine).  A process-wide hook, not a tuning knob:
     it lets a CLI flag thread parallelism through composite algorithms
-    whose inner [Runtime.run] calls cannot be reached syntactically.
+    whose inner [run_emit] calls cannot be reached syntactically.
     Because sharded execution is bit-identical to sequential execution,
     flipping it never changes any result. *)
 
-val exec :
+val exec_emit :
   ?max_rounds:int ->
   ?max_words:int ->
   ?sink:Sink.t ->
@@ -590,7 +570,7 @@ val exec :
   ?domains:int ->
   ?partition:int array ->
   t ->
-  'st algorithm ->
+  'st ealgorithm ->
   'st array * stats
 (** Execute to quiescence on a prebuilt engine.  [max_rounds] defaults to
     [default_max_rounds n]; [max_words] defaults to
@@ -619,47 +599,12 @@ val exec :
     [0, domains); default is contiguous ranges.  Use
     [Generators.shard_partition] for a degree-balanced assignment.
 
-    With [domains > 1] the algorithm's [step]/[halted]/[wake] functions
-    are called concurrently from several domains ([init] stays serial;
-    each node
-    still steps on exactly one domain per round, and only its owner
+    With [domains > 1] the algorithm's [estep]/[ehalted]/[ewake]
+    functions are called concurrently from several domains ([einit] stays
+    serial; each node still steps on exactly one domain per round, and only its owner
     mutates its state entry), so they must not mutate state shared across
     nodes — pure per-node closures, the norm in this library, qualify. *)
 
-val exec_emit :
-  ?max_rounds:int ->
-  ?max_words:int ->
-  ?sink:Sink.t ->
-  ?degrade:bool ->
-  ?churn:Churn.t ->
-  ?guard:bool ->
-  ?corrupt:Corrupt.spec ->
-  ?domains:int ->
-  ?partition:int array ->
-  t ->
-  'st ealgorithm ->
-  'st array * stats
-(** {!exec} for the emit-native shape: identical semantics and options,
-    allocation-free send path.  [exec_emit e ea] is bit-identical to
-    [exec e (to_algorithm ~max_words ea)] for topology-respecting
-    algorithms, sequential or sharded. *)
-
-val run :
-  ?max_rounds:int ->
-  ?max_words:int ->
-  ?sink:Sink.t ->
-  ?degrade:bool ->
-  ?churn:Churn.t ->
-  ?guard:bool ->
-  ?corrupt:Corrupt.spec ->
-  ?domains:int ->
-  ?partition:int array ->
-  Graph.t ->
-  'st algorithm ->
-  'st array * stats
-(** [run g algo] is [exec (create g) algo] — one-shot convenience.  (With
-    [?churn] prefer [create] + {!Churn.compile} + [exec]: the schedule must
-    be compiled against the same engine.) *)
 
 val run_emit :
   ?max_rounds:int ->
@@ -674,4 +619,6 @@ val run_emit :
   Graph.t ->
   'st ealgorithm ->
   'st array * stats
-(** [run_emit g ea] is [exec_emit (create g) ea]. *)
+(** [run_emit g ea] is [exec_emit (create g) ea] — one-shot convenience.
+    (With [?churn] prefer [create] + {!Churn.compile} + [exec_emit]: the
+    schedule must be compiled against the same engine.) *)

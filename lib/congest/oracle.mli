@@ -3,7 +3,7 @@
 
     A faulty execution ({!Async.run_reliable} under a {!Faults} regime) is
     accepted only if (a) its final states are bit-identical to the
-    synchronous {!Runtime.run} and (b) the decoded outputs satisfy the
+    synchronous {!Engine.run_emit} and (b) the decoded outputs satisfy the
     paper's invariants.  (a) is a strong check but is only as good as the
     reference execution; (b) is checked here directly against the graph, so
     a bug that breaks both executions identically is still caught.

@@ -434,9 +434,6 @@ let ealgorithm g cfg : state Engine.ealgorithm =
   in
   { Engine.einit; estep; ehalted; ewake }
 
-let algorithm g cfg : state Engine.algorithm =
-  Engine.to_algorithm ~max_words (ealgorithm g cfg)
-
 (* ------------------------------------------------------------------ *)
 (* decoding *)
 

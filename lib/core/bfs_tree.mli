@@ -28,7 +28,7 @@ type info = {
 type state
 (** Per-node state of the protocol, for use with {!algorithm}. *)
 
-val algorithm : Graph.t -> root:int -> state Runtime.algorithm
+val algorithm : Graph.t -> root:int -> state Engine.ealgorithm
 (** The node program itself, exposed so it can also be executed by the
     asynchronous α-synchronizer runtime ({!Kdom_congest.Async}). *)
 
@@ -40,7 +40,7 @@ val max_words : int
     2 words. *)
 
 val run :
-  ?trace:Trace.t -> ?sink:Engine.Sink.t -> Graph.t -> root:int -> info * Runtime.stats
+  ?trace:Trace.t -> ?sink:Engine.Sink.t -> Graph.t -> root:int -> info * Engine.stats
 (** [algorithm] executed on the mailbox engine with the declared
     {!max_words} budget.  Requires a connected graph.  With [?trace] the
     execution is recorded under a [bfs_tree] span. *)

@@ -151,9 +151,9 @@ let congest_algorithm g ~root =
   let t = Tree.root_at g root in
   let iterations = cv_iterations (Graph.n g) in
   let last_round = iterations + 6 in
-  let algo : congest_state Engine.algorithm =
+  let algo : congest_state Engine.ealgorithm =
     {
-      init =
+      einit =
         (fun _g v ->
           {
             parent = t.parent.(v);
@@ -163,16 +163,16 @@ let congest_algorithm g ~root =
             pre_shift = -1;
             done_ = false;
           });
-      halted = (fun st -> st.done_);
+      ehalted = (fun st -> st.done_);
       (* Genuinely dense: every node recolors every round of the fixed
          [last_round]-length schedule, so the legacy schedule is the right
          one. *)
-      wake = Engine.always;
-      step =
-        (fun _g ~round ~node:_ st inbox ->
+      ewake = Engine.always;
+      estep =
+        (fun _g ~round ~node:_ st inbox em ->
           let parent_color =
             match Engine.Inbox.length inbox with
-            | 1 -> (Engine.Inbox.payload inbox 0).(0)
+            | 1 -> Codec.get (Engine.Inbox.read inbox 0)
             | 0 -> st.parent_color
             | _ -> invalid_arg "three_color_congest: more than one parent message"
           in
@@ -202,12 +202,11 @@ let congest_algorithm g ~root =
               else st
             end
           in
-          let outbox =
-            if round >= last_round then []
-            else List.map (fun child -> (child, [| st.color |])) st.children
-          in
-          let st = if round >= last_round then { st with done_ = true } else st in
-          (st, outbox))
+          if round >= last_round then { st with done_ = true }
+          else begin
+            List.iter (fun child -> Engine.Emit.frame1 em ~dst:child st.color) st.children;
+            st
+          end)
     }
   in
   algo
@@ -222,6 +221,6 @@ let three_color_congest ?trace ?sink g ~root =
   let sink = Trace.wrap ?trace ?sink () in
   Trace.span_opt trace "coloring.three_color" (fun () ->
       let states, stats =
-        Engine.run ~max_words:congest_max_words ~sink g (congest_algorithm g ~root)
+        Engine.run_emit ~max_words:congest_max_words ~sink g (congest_algorithm g ~root)
       in
       (colors_of_states states, stats))

@@ -47,7 +47,7 @@ type congest_state
 (** Per-node state of the message-level protocol, for use with
     {!congest_algorithm}. *)
 
-val congest_algorithm : Graph.t -> root:int -> congest_state Engine.algorithm
+val congest_algorithm : Graph.t -> root:int -> congest_state Engine.ealgorithm
 (** The message-level Cole–Vishkin + shift-down node program, exposed for
     differential testing and asynchronous execution. *)
 
@@ -59,7 +59,7 @@ val colors_of_states : congest_state array -> int array
     (whichever executor produced it). *)
 
 val three_color_congest :
-  ?trace:Trace.t -> ?sink:Engine.Sink.t -> Graph.t -> root:int -> int array * Runtime.stats
+  ?trace:Trace.t -> ?sink:Engine.Sink.t -> Graph.t -> root:int -> int array * Engine.stats
 (** Message-level CONGEST execution of {!three_color} on a tree graph
     rooted at [root]: every round each node sends its current color (one
     word) to its children. Used by tests to confirm that the pure version's

@@ -5,8 +5,8 @@ type result = {
   dominating : bool array;
   level : int option;
   init : Bfs_tree.info;
-  init_stats : Runtime.stats;
-  census_stats : Runtime.stats option;
+  init_stats : Engine.stats;
+  census_stats : Engine.stats option;
   rounds : int;
 }
 
@@ -124,11 +124,6 @@ let census_ealgorithm (info : Bfs_tree.info) ~k : census_state Engine.ealgorithm
 (* Word budget: the widest message is [| tag_census; l; counter |] — 3
    words. *)
 let census_max_words = 3
-
-(* Legacy list shape, derived — keeps the differential suites and every
-   external caller on one source of truth. *)
-let census_algorithm (info : Bfs_tree.info) ~k : census_state Engine.algorithm =
-  Engine.to_algorithm ~max_words:census_max_words (census_ealgorithm info ~k)
 
 let census_run ?sink g (info : Bfs_tree.info) ~k =
   Engine.run_emit ~max_words:census_max_words ?sink g (census_ealgorithm info ~k)

@@ -22,25 +22,19 @@ type result = {
   dominating : bool array;   (** membership in the output set D *)
   level : int option;        (** selected class; [None] when [M <= k] *)
   init : Bfs_tree.info;
-  init_stats : Runtime.stats;
-  census_stats : Runtime.stats option;  (** [None] when no census ran *)
+  init_stats : Engine.stats;
+  census_stats : Engine.stats option;  (** [None] when no census ran *)
   rounds : int;              (** total rounds across both stages *)
 }
 
 type census_state
-(** Per-node state of the census stage, for use with {!census_algorithm}. *)
+(** Per-node state of the census stage, for use with {!census_ealgorithm}. *)
 
 val census_ealgorithm :
   Bfs_tree.info -> k:int -> census_state Engine.ealgorithm
-(** The census/decision node program on a prebuilt BFS tree, in the
-    emit-native shape: frames are decoded in place and written straight
-    into the packed send arena, so the census runs allocation-free in
-    steady state.  This is the kernel {!run} executes. *)
-
-val census_algorithm : Bfs_tree.info -> k:int -> census_state Engine.algorithm
-(** The legacy list shape, derived from {!census_ealgorithm} via
-    {!Engine.to_algorithm} — exposed for differential testing and
-    asynchronous execution. *)
+(** The census/decision node program on a prebuilt BFS tree: frames are
+    decoded in place and written straight into the packed send arena, so
+    the census runs allocation-free in steady state.  This is the kernel {!run} executes. *)
 
 val census_max_words : int
 (** Declared word budget of the census stage:

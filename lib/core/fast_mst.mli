@@ -22,7 +22,7 @@ type result = {
   fragments : Simple_mst.fragment list;
   dominating : int list;           (** the sqrt(n)-dominating set built on the way *)
   pipeline : Pipeline.result;
-  bfs_stats : Runtime.stats;
+  bfs_stats : Engine.stats;
   ledger : Ledger.t;
   rounds : int;
 }

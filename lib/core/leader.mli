@@ -22,20 +22,20 @@ type result = {
   leader : int;            (** the maximum node id *)
   parent : int array;      (** BFS tree rooted at the leader; [-1] at the leader *)
   depth : int array;       (** distance from the leader *)
-  stats : Runtime.stats;
+  stats : Engine.stats;
 }
 
 type state
 (** Per-node state of the protocol, for use with {!algorithm}. *)
 
-val algorithm : Graph.t -> state Engine.algorithm
+val algorithm : Graph.t -> state Engine.ealgorithm
 (** The wave/echo node program, exposed for differential testing and
     asynchronous execution. *)
 
 val max_words : int
 (** Declared word budget: [| tag; wave id; depth |] — 3 words. *)
 
-val result_of_states : state array -> Runtime.stats -> result
+val result_of_states : state array -> Engine.stats -> result
 (** Decode (and cross-validate) the outcome from an execution's final
     state vector, whichever executor produced it; raises
     [Invalid_argument] if any node disagrees on the leader. *)

@@ -3,7 +3,7 @@ open Kdom_congest
 
 type result = {
   selected : Graph.edge list;
-  upcast_stats : Runtime.stats;
+  upcast_stats : Engine.stats;
   broadcast_rounds : int;
   rounds : int;
   stalls : int;
@@ -79,41 +79,49 @@ let algorithm ?(eliminate_cycles = true) g ~(bfs : Bfs_tree.info) ~fragment_of =
       done_ = false;
     }
   in
-  let step _g ~round ~node st inbox =
-    let out = ref [] in
-    if round = 0 then
-      Array.iter
-        (fun (u, _) -> out := (u, [| tag_frag; st.frag |]) :: !out)
-        (Graph.neighbors g node)
+  let estep _g ~round ~node st inbox em =
+    if round = 0 then begin
+      (* descending neighbor order: the order this protocol has always
+         sent its fragment ids in (see [Engine.ealgorithm] on send order) *)
+      let nbrs = Graph.neighbors g node in
+      for i = Array.length nbrs - 1 downto 0 do
+        Engine.Emit.frame2 em ~dst:(fst nbrs.(i)) tag_frag st.frag
+      done
+    end
     else if round = 1 then
       (* learn neighbor fragments; incident inter-fragment edges seed Q *)
-      Engine.Inbox.iter
-        (fun u payload ->
-          match payload.(0) with
-          | t when t = tag_frag ->
-            let nfrag = payload.(1) in
-            if nfrag <> st.frag then begin
-              match Graph.find_edge g node u with
-              | Some e -> Hashtbl.replace st.q e.id (st.frag, nfrag, e.w)
-              | None -> assert false
-            end
-          | _ -> invalid_arg "Pipeline: unexpected tag at round 1")
-        inbox
+      for i = 0 to Engine.Inbox.length inbox - 1 do
+        let u = Engine.Inbox.sender inbox i in
+        let rd = Engine.Inbox.read inbox i in
+        match Codec.get rd with
+        | t when t = tag_frag ->
+          let nfrag = Codec.get rd in
+          if nfrag <> st.frag then begin
+            match Graph.find_edge g node u with
+            | Some e -> Hashtbl.replace st.q e.id (st.frag, nfrag, e.w)
+            | None -> assert false
+          end
+        | _ -> invalid_arg "Pipeline: unexpected tag at round 1"
+      done
     else begin
       (* consume child messages *)
-      Engine.Inbox.iter
-        (fun u payload ->
-          match payload.(0) with
-          | t when t = tag_edge ->
-            Hashtbl.replace st.heard u ();
-            let id = payload.(1) in
-            if not (Hashtbl.mem st.q id) then
-              Hashtbl.replace st.q id (payload.(2), payload.(3), payload.(4))
-          | t when t = tag_term ->
-            Hashtbl.replace st.heard u ();
-            Hashtbl.replace st.finished u ()
-          | _ -> invalid_arg "Pipeline: unexpected tag")
-        inbox;
+      for i = 0 to Engine.Inbox.length inbox - 1 do
+        let u = Engine.Inbox.sender inbox i in
+        let rd = Engine.Inbox.read inbox i in
+        match Codec.get rd with
+        | t when t = tag_edge ->
+          Hashtbl.replace st.heard u ();
+          let id = Codec.get rd in
+          if not (Hashtbl.mem st.q id) then begin
+            let fu = Codec.get rd in
+            let fv = Codec.get rd in
+            Hashtbl.replace st.q id (fu, fv, Codec.get rd)
+          end
+        | t when t = tag_term ->
+          Hashtbl.replace st.heard u ();
+          Hashtbl.replace st.finished u ()
+        | _ -> invalid_arg "Pipeline: unexpected tag"
+      done;
       if not st.started then
         st.started <-
           List.for_all (fun c -> Hashtbl.mem st.heard c) st.children;
@@ -140,11 +148,17 @@ let algorithm ?(eliminate_cycles = true) g ~(bfs : Bfs_tree.info) ~fragment_of =
           if st.started_round = -1 then st.started_round <- round;
           Hashtbl.replace st.sent id ();
           if eliminate_cycles then ignore (Lazy_uf.union st.uf fu fv);
-          out := [ (st.parent, [| tag_edge; id; fu; fv; w |]) ]
+          let wr = Engine.Emit.start em ~dst:st.parent in
+          Codec.put wr tag_edge;
+          Codec.put wr id;
+          Codec.put wr fu;
+          Codec.put wr fv;
+          Codec.put wr w;
+          Engine.Emit.commit em
         | None ->
           if all_children_done then begin
             if st.started_round = -1 then st.started_round <- round;
-            out := [ (st.parent, [| tag_term |]) ];
+            Engine.Emit.frame1 em ~dst:st.parent tag_term;
             st.done_ <- true
           end
           else
@@ -153,19 +167,19 @@ let algorithm ?(eliminate_cycles = true) g ~(bfs : Bfs_tree.info) ~fragment_of =
             incr stalls
       end
     end;
-    (st, !out)
+    st
   in
-  let halted st = st.done_ in
+  let ehalted st = st.done_ in
   (* A node that has started upcasting drains one queued candidate per
      round with no further input, and a leaf starts vacuously — both need
      stepping every round until done.  Everything else (fragment exchange,
      hearing children, termination) arrives as a message. *)
-  let wake st =
+  let ewake st =
     if st.done_ then Engine.OnMessage
     else if st.started || st.children = [] then Engine.Next
     else Engine.OnMessage
   in
-  (({ Engine.init; step; halted; wake } : node_state Engine.algorithm), stalls)
+  ({ Engine.einit = init; estep; ehalted; ewake }, stalls)
 
 let selected_of_states g ~fragment_of ~root states =
   let nf = 1 + Array.fold_left max 0 fragment_of in
@@ -183,7 +197,8 @@ let run ?(eliminate_cycles = true) ?trace ?sink g ~(bfs : Bfs_tree.info) ~fragme
   Option.iter (fun t -> Trace.set_budget t max_words) trace;
   let sink = Trace.wrap ?trace ?sink () in
   let states, upcast_stats =
-    Trace.span_opt trace "pipeline.upcast" (fun () -> Engine.run ~max_words ~sink g algo)
+    Trace.span_opt trace "pipeline.upcast" (fun () ->
+        Engine.run_emit ~max_words ~sink g algo)
   in
   let root_state = states.(bfs.root) in
   let selected = selected_of_states g ~fragment_of ~root:bfs.root states in

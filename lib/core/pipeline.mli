@@ -29,7 +29,7 @@ open Kdom_congest
 type result = {
   selected : Graph.edge list;
     (** the [N-1] inter-fragment edges of the MST of the fragment graph *)
-  upcast_stats : Runtime.stats;  (** the convergecast proper *)
+  upcast_stats : Engine.stats;  (** the convergecast proper *)
   broadcast_rounds : int;
     (** charged rounds for streaming [S] back down [B]:
         [max 0 (|S|-1) + height + 1] *)
@@ -47,7 +47,7 @@ val algorithm :
   Graph.t ->
   bfs:Bfs_tree.info ->
   fragment_of:int array ->
-  node_state Engine.algorithm * int ref
+  node_state Engine.ealgorithm * int ref
 (** The upcast node program plus its stall counter (incremented whenever a
     started node with an active child has no candidate — Lemma 5.3 says
     never), exposed for differential testing. *)

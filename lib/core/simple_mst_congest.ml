@@ -3,7 +3,7 @@ open Kdom_congest
 
 type result = {
   fragments : Simple_mst.fragment list;
-  stats : Runtime.stats;
+  stats : Engine.stats;
   phases : int;
 }
 
@@ -100,7 +100,7 @@ let fresh_phase st =
     connect_to = -1;
   }
 
-let algorithm g ~k : state Engine.algorithm =
+let algorithm g ~k : state Engine.ealgorithm =
   let total = schedule_length ~k in
   let init _g v =
     fresh_phase
@@ -127,9 +127,17 @@ let algorithm g ~k : state Engine.algorithm =
         halted = false;
       }
   in
-  let step _g ~round ~node st inbox =
+  let estep _g ~round ~node st inbox em =
+    (* Sends are queued and emitted when the step ends, newest first: the
+       order this protocol has always sent in (see [Engine.ealgorithm] on
+       send order).  Sends interleave with the inbox fold below, so
+       queueing is simpler than emitting the phases in reverse. *)
     let out = ref [] in
-    let send u payload = out := (u, payload) :: !out in
+    let send1 u a = out := (fun em -> Engine.Emit.frame1 em ~dst:u a) :: !out in
+    let send2 u a b = out := (fun em -> Engine.Emit.frame2 em ~dst:u a b) :: !out in
+    let send3 u a b c =
+      out := (fun em -> Engine.Emit.frame3 em ~dst:u a b c) :: !out
+    in
     let i, r = locate round in
     let cap = 1 lsl i in
     let verdict_at = (2 * cap) + 2 in
@@ -141,7 +149,7 @@ let algorithm g ~k : state Engine.algorithm =
     let st =
       if r = 0 && st.parent = -1 then begin
         let kids = children st in
-        List.iter (fun c -> send c [| tag_probe; cap - 1; node |]) kids;
+        List.iter (fun c -> send3 c tag_probe (cap - 1) node) kids;
         { st with echo_pending = kids; frag_id = node; probe_seen = true }
       end
       else st
@@ -157,16 +165,16 @@ let algorithm g ~k : state Engine.algorithm =
             let st = { st with frag_id = id; probe_seen = true } in
             let kids = children st in
             if kids = [] then begin
-              send st.parent [| tag_echo; 0 |];
+              send2 st.parent tag_echo 0;
               { st with echo_sent = true }
             end
             else if hop = 0 then begin
               (* the tree continues below the probe's reach: too deep *)
-              send st.parent [| tag_echo; 1 |];
+              send2 st.parent tag_echo 1;
               { st with echo_sent = true }
             end
             else begin
-              List.iter (fun c -> send c [| tag_probe; hop - 1; id |]) kids;
+              List.iter (fun c -> send3 c tag_probe (hop - 1) id) kids;
               { st with echo_pending = kids }
             end
           | t when t = tag_echo ->
@@ -178,7 +186,7 @@ let algorithm g ~k : state Engine.algorithm =
           | t when t = tag_verdict ->
             let active = payload.(1) = 1 and hop = payload.(2) in
             if hop > 0 then
-              List.iter (fun c -> send c [| tag_verdict; payload.(1); hop - 1 |]) (children st);
+              List.iter (fun c -> send3 c tag_verdict payload.(1) (hop - 1)) (children st);
             { st with active }
           | t when t = tag_fragid -> { st with fragids = (u, payload.(1)) :: st.fragids }
           | t when t = tag_cand ->
@@ -192,7 +200,7 @@ let algorithm g ~k : state Engine.algorithm =
             (* walk on towards the winning edge, flipping orientation *)
             if st.best_owner = -2 then { st with parent = -1; rootship_here = true }
             else begin
-              send st.best_owner [| tag_rootship |];
+              send1 st.best_owner tag_rootship;
               { st with parent = st.best_owner }
             end
           | t when t = tag_connect ->
@@ -213,7 +221,7 @@ let algorithm g ~k : state Engine.algorithm =
       then
         if st.parent = -1 then st (* the root just waits for the verdict slot *)
         else begin
-          send st.parent [| tag_echo; (if st.echo_deep then 1 else 0) |];
+          send2 st.parent tag_echo (if st.echo_deep then 1 else 0);
           { st with echo_sent = true }
         end
       else st
@@ -223,7 +231,7 @@ let algorithm g ~k : state Engine.algorithm =
       if r = verdict_at && st.parent = -1 && not st.verdict_sent then begin
         let active = st.echo_pending = [] && not st.echo_deep in
         List.iter
-          (fun c -> send c [| tag_verdict; (if active then 1 else 0); cap - 1 |])
+          (fun c -> send3 c tag_verdict (if active then 1 else 0) (cap - 1))
           (children st);
         { st with active; verdict_sent = true }
       end
@@ -232,7 +240,7 @@ let algorithm g ~k : state Engine.algorithm =
     (* active nodes exchange fragment identities over every edge *)
     let st =
       if r = fragid_at && st.active then begin
-        Array.iter (fun (u, _) -> send u [| tag_fragid; st.frag_id |]) (Graph.neighbors g node);
+        Array.iter (fun (u, _) -> send2 u tag_fragid st.frag_id) (Graph.neighbors g node);
         st
       end
       else st
@@ -266,7 +274,7 @@ let algorithm g ~k : state Engine.algorithm =
       if st.active && st.classified && st.cand_pending = [] && (not st.cand_sent)
          && st.parent <> -1 && r >= fragid_at + 1 && r < rootship_at
       then begin
-        send st.parent [| tag_cand; (if st.best_w = max_int then -1 else st.best_w) |];
+        send2 st.parent tag_cand (if st.best_w = max_int then -1 else st.best_w);
         { st with cand_sent = true }
       end
       else st
@@ -276,7 +284,7 @@ let algorithm g ~k : state Engine.algorithm =
       if r = rootship_at && st.active && st.parent = -1 && st.best_w < max_int then
         if st.best_owner = -2 then { st with rootship_here = true }
         else begin
-          send st.best_owner [| tag_rootship |];
+          send1 st.best_owner tag_rootship;
           { st with parent = st.best_owner }
         end
       else st
@@ -286,7 +294,7 @@ let algorithm g ~k : state Engine.algorithm =
       if r = connect_at && st.rootship_here then begin
         match st.own_min with
         | Some (_, u) ->
-          send u [| tag_connect; node |];
+          send2 u tag_connect node;
           { st with connect_to = u; tree = u :: st.tree; parent = -1 }
         | None -> invalid_arg "Simple_mst_congest: rootship without a winning edge"
       end
@@ -304,11 +312,12 @@ let algorithm g ~k : state Engine.algorithm =
       else st
     in
     let st = if round = total - 1 then { st with halted = true } else st in
-    ({ st with wake_round = next_checkpoint ~total round }, !out)
+    List.iter (fun f -> f em) !out;
+    { st with wake_round = next_checkpoint ~total round }
   in
-  let halted st = st.halted in
-  let wake st = Engine.At st.wake_round in
-  { Engine.init; step; halted; wake }
+  let ehalted st = st.halted in
+  let ewake st = Engine.At st.wake_round in
+  { Engine.einit = init; estep; ehalted; ewake }
 
 (* Word budget: the widest messages are [| tag_probe; hop; root id |] and
    [| tag_verdict; active?; hop |] — 3 words. *)
@@ -366,7 +375,7 @@ let run ?trace ?sink g ~k =
   let sink = Trace.wrap ?trace ?sink () in
   Trace.span_opt trace "simple_mst" (fun () ->
       let c0 = match trace with Some t -> Trace.clock t | None -> 0 in
-      let states, stats = Engine.run ~max_words ~sink g (algorithm g ~k) in
+      let states, stats = Engine.run_emit ~max_words ~sink g (algorithm g ~k) in
       (* The phase boundaries are a fixed global schedule ({!locate}); lay
          each phase down as a synthetic span, clamped to the rounds the
          execution actually used (it quiesces after the last real merge). *)

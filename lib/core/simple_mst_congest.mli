@@ -34,14 +34,14 @@ open Kdom_congest
 
 type result = {
   fragments : Simple_mst.fragment list;
-  stats : Runtime.stats;
+  stats : Engine.stats;
   phases : int;
 }
 
 type state
 (** Per-node state of the protocol, for use with {!algorithm}. *)
 
-val algorithm : Graph.t -> k:int -> state Engine.algorithm
+val algorithm : Graph.t -> k:int -> state Engine.ealgorithm
 (** The schedule-driven node program, exposed for differential testing. *)
 
 val max_words : int

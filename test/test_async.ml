@@ -20,7 +20,7 @@ let test_bfs_same_states () =
   List.iter
     (fun (name, g) ->
       let algo = Kdom.Bfs_tree.algorithm g ~root:0 in
-      let sync_states, sync_stats = Runtime.run g algo in
+      let sync_states, sync_stats = Engine.run_emit g algo in
       let async_states, report = Async.run ~rng:(Rng.create 99) g algo in
       let sync_info = Kdom.Bfs_tree.info_of_states g ~root:0 sync_states in
       let async_info = Kdom.Bfs_tree.info_of_states g ~root:0 async_states in
@@ -42,7 +42,7 @@ let test_bfs_same_states () =
 let test_bfs_many_delay_regimes () =
   let g = Generators.gnp_connected ~rng:(Rng.create 2) ~n:50 ~p:0.1 in
   let algo = Kdom.Bfs_tree.algorithm g ~root:0 in
-  let sync_states, _ = Runtime.run g algo in
+  let sync_states, _ = Engine.run_emit g algo in
   let reference = Kdom.Bfs_tree.info_of_states g ~root:0 sync_states in
   List.iter
     (fun (seed, max_delay) ->
@@ -60,29 +60,27 @@ let test_bfs_many_delay_regimes () =
    seen for a fixed number of rounds *)
 type flood = { best : int; neighbors : int list; rounds_left : int }
 
-let flood_algorithm rounds : flood Runtime.algorithm =
+let flood_algorithm rounds : flood Engine.ealgorithm =
   {
-    init =
+    einit =
       (fun g v ->
         {
           best = v;
           neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
           rounds_left = rounds;
         });
-    halted = (fun st -> st.rounds_left = 0);
-    step =
-      (fun _g ~round:_ ~node:_ st inbox ->
+    ehalted = (fun st -> st.rounds_left = 0);
+    estep =
+      (fun _g ~round:_ ~node:_ st inbox em ->
         let best =
           Engine.Inbox.fold (fun acc _ p -> max acc p.(0)) st.best inbox
         in
         let st = { st with best; rounds_left = st.rounds_left - 1 } in
-        let out =
-          if st.rounds_left = 0 then []
-          else List.map (fun u -> (u, [| st.best |])) st.neighbors
-        in
-        (st, out));
+        if st.rounds_left > 0 then
+          List.iter (fun u -> Engine.Emit.frame1 em ~dst:u st.best) st.neighbors;
+        st);
     (* genuinely dense: every node floods every round until the deadline *)
-    wake = Engine.always;
+    ewake = Engine.always;
   }
 
 let test_flood_same_states () =
@@ -90,7 +88,7 @@ let test_flood_same_states () =
     (fun (name, g) ->
       let rounds = 2 + Traversal.diameter g in
       let algo = flood_algorithm rounds in
-      let sync_states, _ = Runtime.run g algo in
+      let sync_states, _ = Engine.run_emit g algo in
       let async_states, _ = Async.run ~rng:(Rng.create 7) g algo in
       Array.iteri
         (fun v (st : flood) ->
@@ -119,7 +117,7 @@ let prop_async_equals_sync =
     (fun (seed, n, dseed) ->
       let g = Generators.gnp_connected ~rng:(Rng.create seed) ~n ~p:0.15 in
       let algo = Kdom.Bfs_tree.algorithm g ~root:0 in
-      let sync_states, _ = Runtime.run g algo in
+      let sync_states, _ = Engine.run_emit g algo in
       let async_states, _ = Async.run ~rng:(Rng.create dseed) g algo in
       let a = Kdom.Bfs_tree.info_of_states g ~root:0 sync_states in
       let b = Kdom.Bfs_tree.info_of_states g ~root:0 async_states in

@@ -9,7 +9,7 @@
 open Kdom_graph
 open Kdom_congest
 
-let dummy_stats = { Runtime.rounds = 0; messages = 0; max_inflight = 0 }
+let dummy_stats = { Engine.rounds = 0; messages = 0; max_inflight = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Cases: the same algorithm battery as the fault matrix *)
@@ -32,7 +32,7 @@ let census_case g ~k =
       (Chaos.Case
          ( "census",
            Kdom.Diam_dom.census_max_words,
-           (fun () -> Kdom.Diam_dom.census_algorithm info ~k),
+           (fun () -> Kdom.Diam_dom.census_ealgorithm info ~k),
            fun states ->
              let dom = Kdom.Diam_dom.dominating_of_states states in
              let centers = ref [] in

@@ -3,7 +3,7 @@
    Group 1 (qcheck): every payload that fits the engine's word budget
    round-trips bit-identically through the packed codec — via the raw
    [encode]/[decode] pair, via the writer/reader cursors over a fixed
-   arena region, and via the growable scratch mode the compat adapter
+   arena region, and via the growable scratch mode [Engine.collect_step]
    uses; the wire length always equals [measure]; [encode1] agrees with
    [encode] on one-word frames; and the write of logical word
    [budget + 1] raises the typed [Codec.Width_exceeded] — never a silent
@@ -11,11 +11,10 @@
 
    Group 2: the broadcast fast path.  A flood kernel written with
    [Emit.broadcast1] must be bit-identical — final states and stats — to
-   the same kernel written against the legacy list API, under the
-   sequential executor, the sharded executor at 2 and 4 domains, the
-   list-based reference simulator (via [to_algorithm]), and with an
-   inbox-reading kernel that exercises the lazy in-port fill behind the
-   broadcast. *)
+   the same kernel sending one [frame1] per edge, under the sequential
+   executor, the sharded executor at 2 and 4 domains, the list-based
+   reference simulator, and with an inbox-reading kernel that exercises
+   the lazy in-port fill behind the broadcast. *)
 
 open Kdom_graph
 open Kdom_congest
@@ -72,7 +71,7 @@ let check_roundtrip p =
       if Codec.get r <> v then Alcotest.failf "reader word %d differs" i)
     p;
   if Codec.remaining r <> 0 then Alcotest.fail "reader not drained";
-  (* scratch mode (the compat adapter's path) *)
+  (* scratch mode ([Engine.collect_step]'s path) *)
   let sw = Codec.writer () in
   Codec.scratch_writer sw ~budget:words;
   Array.iter (Codec.put sw) p;
@@ -122,21 +121,22 @@ let prop_over_budget =
 (* ------------------------------------------------------------------ *)
 (* Group 2: broadcast differential *)
 
-(* The same flood kernel in both shapes: every node broadcasts the round
-   number to all neighbors for [rounds] rounds, then halts. *)
-let flood_list ~rounds : int Engine.algorithm =
+(* Send a one-word frame to every neighbor, one [frame1] per edge: what
+   [broadcast1] must be indistinguishable from. *)
+let frame_each_edge g node em a =
+  Array.iter (fun (u, _) -> Engine.Emit.frame1 em ~dst:u a) (Graph.neighbors g node)
+
+(* The same flood kernel both ways: every node sends the round number to
+   all neighbors for [rounds] rounds, then halts. *)
+let flood_per_edge ~rounds : int Engine.ealgorithm =
   {
-    Engine.init = (fun _ _ -> 0);
-    step =
-      (fun g ~round ~node _st _ib ->
-        if round > rounds then (round, [])
-        else
-          ( round,
-            Array.to_list
-              (Array.map (fun (u, _) -> (u, [| round |])) (Graph.neighbors g node))
-          ));
-    halted = (fun st -> st > rounds);
-    wake = Engine.always;
+    Engine.einit = (fun _ _ -> 0);
+    estep =
+      (fun g ~round ~node _st _ib em ->
+        if round <= rounds then frame_each_edge g node em round;
+        round);
+    ehalted = (fun st -> st > rounds);
+    ewake = Engine.always;
   }
 
 let flood_emit ~rounds : int Engine.ealgorithm =
@@ -158,23 +158,22 @@ let flood_emit ~rounds : int Engine.ealgorithm =
    the same step.  A node halts (negative sentinel state) after folding
    the mail of round [rounds], so no frame is ever sent to a halted
    receiver. *)
-let gossip_list ~rounds : int Engine.algorithm =
+let gossip_per_edge ~rounds : int Engine.ealgorithm =
   {
-    Engine.init = (fun _ v -> v);
-    step =
-      (fun g ~round ~node st ib ->
+    Engine.einit = (fun _ v -> v);
+    estep =
+      (fun g ~round ~node st ib em ->
         let d =
           Engine.Inbox.fold (fun acc src p -> acc + src + p.(0)) st ib
           land 0xFFFFFF
         in
-        if round >= rounds then (-d - 1, [])
-        else
-          ( d,
-            Array.to_list
-              (Array.map (fun (u, _) -> (u, [| d |])) (Graph.neighbors g node))
-          ));
-    halted = (fun st -> st < 0);
-    wake = Engine.always;
+        if round >= rounds then -d - 1
+        else begin
+          frame_each_edge g node em d;
+          d
+        end);
+    ehalted = (fun st -> st < 0);
+    ewake = Engine.always;
   }
 
 let gossip_emit ~rounds : int Engine.ealgorithm =
@@ -207,8 +206,8 @@ let graph_families seed =
     ("gnp", Generators.gnp_connected ~rng:(Rng.create (seed + 1)) ~n ~p:0.2);
   ]
 
-let diff_broadcast what g list_alg emit_alg =
-  let ls, lst = Engine.run g list_alg in
+let diff_broadcast what g per_edge_alg emit_alg =
+  let ls, lst = Engine.run_emit g per_edge_alg in
   (* sequential emit *)
   let es, est = Engine.run_emit ~domains:1 g emit_alg in
   if es <> ls then Alcotest.failf "%s: emit states differ (sequential)" what;
@@ -221,35 +220,29 @@ let diff_broadcast what g list_alg emit_alg =
         Alcotest.failf "%s: emit states differ at %d domains" what d;
       check_stats (Printf.sprintf "%s/d%d" what d) sst lst)
     [ 2; 4 ];
-  (* compat adapter under the reference simulator *)
-  let n = Graph.n g in
-  let rs, rst =
-    Runtime.run_reference
-      ~max_words:(Engine.default_max_words n)
-      g
-      (Engine.to_algorithm ~max_words:(Engine.default_max_words n) emit_alg)
-  in
-  if rs <> ls then Alcotest.failf "%s: adapter states differ" what;
+  (* the reference simulator, which expands the broadcast per edge *)
+  let rs, rst = Reference.run g emit_alg in
+  if rs <> ls then Alcotest.failf "%s: reference states differ" what;
   check_stats (what ^ "/ref") rst lst
 
 let prop_broadcast_flood =
-  QCheck2.Test.make ~name:"broadcast flood = list flood (seq/sharded/ref)"
+  QCheck2.Test.make ~name:"broadcast flood = per-edge flood (seq/sharded/ref)"
     ~count:25 seed_gen (fun seed ->
       List.iter
         (fun (fam, g) ->
-          diff_broadcast ("flood/" ^ fam) g (flood_list ~rounds:6)
+          diff_broadcast ("flood/" ^ fam) g (flood_per_edge ~rounds:6)
             (flood_emit ~rounds:6))
         (graph_families seed);
       true)
 
 let prop_broadcast_gossip =
-  QCheck2.Test.make ~name:"broadcast gossip = list gossip (lazy inbox)"
+  QCheck2.Test.make ~name:"broadcast gossip = per-edge gossip (lazy inbox)"
     ~count:25 seed_gen (fun seed ->
       List.iter
         (fun (fam, g) ->
           let max_rounds = 64 in
           let ls, lst =
-            Engine.exec ~max_rounds (Engine.create g) (gossip_list ~rounds:5)
+            Engine.exec_emit ~max_rounds (Engine.create g) (gossip_per_edge ~rounds:5)
           in
           let es, est =
             Engine.exec_emit ~max_rounds ~domains:1 (Engine.create g)

@@ -26,26 +26,29 @@ open Kdom_congest
 
 type gossip = { neighbors : int list; best : int; halted : bool }
 
-let gossip_algorithm g ~rounds : gossip Engine.algorithm =
-  let init _g v =
+let gossip_algorithm g ~rounds : gossip Engine.ealgorithm =
+  let einit _g v =
     {
       neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
       best = v;
       halted = false;
     }
   in
-  let step _g ~round ~node:_ st inbox =
+  let estep _g ~round ~node:_ st inbox em =
     let best =
       Engine.Inbox.fold (fun b _ payload -> max b payload.(0)) st.best inbox
     in
-    if round >= rounds then ({ st with best; halted = true }, [])
-    else ({ st with best }, List.map (fun u -> (u, [| best |])) st.neighbors)
+    if round >= rounds then { st with best; halted = true }
+    else begin
+      List.iter (fun u -> Engine.Emit.frame1 em ~dst:u best) st.neighbors;
+      { st with best }
+    end
   in
   {
-    Engine.init;
-    step;
-    halted = (fun st -> st.halted);
-    wake = (fun _ -> Engine.Always);
+    Engine.einit;
+    estep;
+    ehalted = (fun st -> st.halted);
+    ewake = (fun _ -> Engine.Always);
   }
 
 (* A union graph with one reserved node (10, wired to 0 and 3) and one
@@ -96,10 +99,10 @@ let test_growth_engine_reference_differential () =
       let e = Engine.create g in
       let churn = Engine.Churn.compile e events in
       let s1, st1 =
-        Engine.exec ~max_words:1 ~churn e (gossip_algorithm g ~rounds:10)
+        Engine.exec_emit ~max_words:1 ~churn e (gossip_algorithm g ~rounds:10)
       in
       let s2, st2 =
-        Runtime.run_reference ~max_words:1 ~churn g
+        Reference.run ~max_words:1 ~churn g
           (gossip_algorithm g ~rounds:10)
       in
       if s1 <> s2 then
@@ -107,9 +110,9 @@ let test_growth_engine_reference_differential () =
           "seed %d: engine and reference states differ under growth churn"
           seed;
       Alcotest.(check int) "same round count" st1.Engine.rounds
-        st2.Runtime.rounds;
+        st2.Engine.rounds;
       Alcotest.(check int) "same delivered count" st1.Engine.messages
-        st2.Runtime.messages;
+        st2.Engine.messages;
       let alive = Engine.Churn.final_alive churn in
       Alcotest.(check bool) "the arrival is finally alive" true alive.(10);
       Alcotest.(check bool) "the crash is finally dead" false alive.(5);
@@ -128,7 +131,7 @@ let test_growth_sharded_differential () =
       let e = Engine.create g in
       let churn = Engine.Churn.compile e events in
       let run domains =
-        Engine.exec ~max_words:1 ~churn ~domains e
+        Engine.exec_emit ~max_words:1 ~churn ~domains e
           (gossip_algorithm g ~rounds:10)
       in
       let s1, st1 = run 1 in

@@ -1,5 +1,5 @@
 (* Differential tests: the port-indexed mailbox engine (Engine) against the
-   legacy list-based simulator kept as Runtime.run_reference.  The reference
+   list-based reference simulator, Reference.run.  The reference
    is the executable specification; the engine must reproduce it exactly —
    bit-identical final states and identical {rounds; messages; max_inflight}
    — for every message-level algorithm in the repository, on random trees
@@ -13,7 +13,7 @@ open Kdom_congest
 (* ------------------------------------------------------------------ *)
 (* Harness *)
 
-let check_stats what (e : Runtime.stats) (r : Runtime.stats) =
+let check_stats what (e : Engine.stats) (r : Engine.stats) =
   Alcotest.(check int) (what ^ ": rounds") r.rounds e.rounds;
   Alcotest.(check int) (what ^ ": messages") r.messages e.messages;
   Alcotest.(check int) (what ^ ": max_inflight") r.max_inflight e.max_inflight
@@ -22,8 +22,8 @@ let check_stats what (e : Runtime.stats) (r : Runtime.stats) =
    state captured by the closures (e.g. Pipeline's stall counter) cannot
    leak between the two executions. *)
 let diff what ~max_words g mk =
-  let e_states, e_stats = Engine.run ~max_words g (mk ()) in
-  let r_states, r_stats = Runtime.run_reference ~max_words g (mk ()) in
+  let e_states, e_stats = Engine.run_emit ~max_words g (mk ()) in
+  let r_states, r_stats = Reference.run ~max_words g (mk ()) in
   if e_states <> r_states then Alcotest.failf "%s: final states differ" what;
   check_stats what e_stats r_stats
 
@@ -59,7 +59,7 @@ let prop_census =
       (* the census stage only runs on trees deeper than k *)
       if info.height > k then
         diff "census" ~max_words:Kdom.Diam_dom.census_max_words g (fun () ->
-            Kdom.Diam_dom.census_algorithm info ~k);
+            Kdom.Diam_dom.census_ealgorithm info ~k);
       true)
 
 let prop_coloring =
@@ -117,6 +117,19 @@ let prop_pipeline =
 (* ------------------------------------------------------------------ *)
 (* Deterministic one-shot diffs on a larger fixed instance *)
 
+(* Violation kernels: every node keeps its id as state and never halts
+   (unless [halted] says so); [sends] runs in every step. *)
+let violator ?(halted = fun _ -> false) sends : int Engine.ealgorithm =
+  {
+    Engine.einit = (fun _ v -> v);
+    estep =
+      (fun _ ~round:_ ~node st _ em ->
+        sends node em;
+        st);
+    ehalted = halted;
+    ewake = Engine.always;
+  }
+
 let test_fixed_instances () =
   let g = Generators.grid ~rng:(Rng.create 7) ~rows:9 ~cols:9 in
   diff "grid/bfs" ~max_words:Kdom.Bfs_tree.max_words g (fun () ->
@@ -130,7 +143,7 @@ let test_fixed_instances () =
     (fun () -> Kdom.Coloring.congest_algorithm t ~root:0);
   let info, _ = Kdom.Bfs_tree.run t ~root:0 in
   diff "bintree/census" ~max_words:Kdom.Diam_dom.census_max_words t (fun () ->
-      Kdom.Diam_dom.census_algorithm info ~k:2)
+      Kdom.Diam_dom.census_ealgorithm info ~k:2)
 
 (* Violations must be raised identically by both backends: same exception,
    same message, same (first-in-id-order) offending node. *)
@@ -145,50 +158,31 @@ let test_violations_agree () =
     [
       ( "non-neighbor",
         fun () ->
-          {
-            Engine.init = (fun _ v -> v);
-            step =
-              (fun _ ~round:_ ~node st _ ->
-                (st, if node = 2 then [ (5, [| 0 |]) ] else []));
-            halted = (fun _ -> false);
-            wake = Engine.always;
-          } );
+          violator (fun node em -> if node = 2 then Engine.Emit.frame1 em ~dst:5 0) );
       ( "duplicate",
         fun () ->
-          {
-            Engine.init = (fun _ v -> v);
-            step =
-              (fun _ ~round:_ ~node st _ ->
-                (st, if node = 3 then [ (4, [| 0 |]); (4, [| 1 |]) ] else []));
-            halted = (fun _ -> false);
-            wake = Engine.always;
-          } );
+          violator (fun node em ->
+              if node = 3 then begin
+                Engine.Emit.frame1 em ~dst:4 0;
+                Engine.Emit.frame1 em ~dst:4 1
+              end) );
       ( "width",
         fun () ->
-          {
-            Engine.init = (fun _ v -> v);
-            step =
-              (fun _ ~round:_ ~node st _ ->
-                (st, if node = 2 then [ (3, [| 1; 2; 3; 4; 5 |]) ] else []));
-            halted = (fun _ -> false);
-            wake = Engine.always;
-          } );
+          violator (fun node em ->
+              if node = 2 then
+                Engine.Emit.send em ~dst:3 (fun w ->
+                    List.iter (Codec.put w) [ 1; 2; 3; 4; 5 ])) );
       ( "halted receiver",
         fun () ->
-          {
-            Engine.init = (fun _ v -> v);
-            step =
-              (fun _ ~round:_ ~node st _ ->
-                (st, if node = 1 then [ (0, [| 7 |]) ] else []));
-            halted = (fun v -> v = 0);
-            wake = Engine.always;
-          } );
+          violator
+            ~halted:(fun v -> v = 0)
+            (fun node em -> if node = 1 then Engine.Emit.frame1 em ~dst:0 7) );
     ]
   in
   List.iter
     (fun (name, mk) ->
-      let e = outcome (fun g a -> Engine.run g a) (mk ()) in
-      let r = outcome (fun g a -> Runtime.run_reference g a) (mk ()) in
+      let e = outcome (fun g a -> Engine.run_emit g a) (mk ()) in
+      let r = outcome (fun g a -> Reference.run g a) (mk ()) in
       match (e, r) with
       | Error me, Error mr ->
           Alcotest.(check string) (name ^ ": same violation") mr me
@@ -199,52 +193,54 @@ let test_violations_agree () =
 (* Scheduler differentials: the sparse event-driven scheduler against the
    reference, round for round.  [~degrade:true] makes the engine ignore
    wake hints entirely, so its per-round sink records must be bit-identical
-   to [run_reference]'s 0-projection (skipped = woken = 0, stepped = live)
+   to [Reference.run]'s 0-projection (skipped = woken = 0, stepped = live)
    for ARBITRARY — even dishonest — hints.  Without [degrade] the hints are
    honored, and the per-round traffic (sent / delivered / words /
    receivers) plus stepped+skipped = reference stepped must still agree. *)
 
 type flood = { best : int; left : int }
 
-let flood_algorithm ?(wake = Engine.always) g rounds : flood Runtime.algorithm =
+let flood_algorithm ?(wake = Engine.always) g rounds : flood Engine.ealgorithm =
   {
-    init = (fun _ v -> { best = v; left = rounds });
-    halted = (fun st -> st.left = 0);
-    step =
-      (fun _ ~round:_ ~node st inbox ->
+    einit = (fun _ v -> { best = v; left = rounds });
+    ehalted = (fun st -> st.left = 0);
+    estep =
+      (fun _ ~round:_ ~node st inbox em ->
         let best = Engine.Inbox.fold (fun a _ p -> max a p.(0)) st.best inbox in
         let st = { best; left = st.left - 1 } in
-        let out =
-          if st.left = 0 then []
-          else
-            Array.to_list
-              (Array.map (fun (u, _) -> (u, [| st.best |])) (Graph.neighbors g node))
-        in
-        (st, out));
-    wake;
+        if st.left > 0 then
+          Array.iter
+            (fun (u, _) -> Engine.Emit.frame1 em ~dst:u st.best)
+            (Graph.neighbors g node);
+        st);
+    ewake = wake;
   }
 
 (* a token walking a path: the canonical O(1)-frontier kernel *)
-let token_algorithm ?(wake = Engine.always) g : bool Runtime.algorithm =
+let token_algorithm ?(wake = Engine.always) g : bool Engine.ealgorithm =
   let n = Graph.n g in
   {
-    init = (fun _ _ -> false);
-    halted = (fun st -> st);
-    step =
-      (fun _ ~round ~node _ inbox ->
-        if node = 0 && round = 0 then
-          (true, if n > 1 then [ (1, [| 1 |]) ] else [])
-        else if not (Engine.Inbox.is_empty inbox) then
-          (true, if node + 1 < n then [ (node + 1, [| 1 |]) ] else [])
-        else (false, []));
-    wake;
+    einit = (fun _ _ -> false);
+    ehalted = (fun st -> st);
+    estep =
+      (fun _ ~round ~node _ inbox em ->
+        if node = 0 && round = 0 then begin
+          if n > 1 then Engine.Emit.frame1 em ~dst:1 1;
+          true
+        end
+        else if not (Engine.Inbox.is_empty inbox) then begin
+          if node + 1 < n then Engine.Emit.frame1 em ~dst:(node + 1) 1;
+          true
+        end
+        else false);
+    ewake = wake;
   }
 
 let degraded_round_diff what ~max_words g mk =
   let es, er = Engine.Sink.counters () in
-  let e_states, e_stats = Engine.run ~max_words ~sink:es ~degrade:true g (mk ()) in
+  let e_states, e_stats = Engine.run_emit ~max_words ~sink:es ~degrade:true g (mk ()) in
   let rs, rr = Engine.Sink.counters () in
-  let r_states, r_stats = Runtime.run_reference ~max_words ~sink:rs g (mk ()) in
+  let r_states, r_stats = Reference.run ~max_words ~sink:rs g (mk ()) in
   if e_states <> r_states then Alcotest.failf "%s: final states differ" what;
   check_stats what e_stats r_stats;
   let e = er () and r = rr () in
@@ -257,9 +253,9 @@ let degraded_round_diff what ~max_words g mk =
 
 let sparse_round_diff what ~max_words g mk =
   let es, er = Engine.Sink.counters () in
-  let e_states, e_stats = Engine.run ~max_words ~sink:es g (mk ()) in
+  let e_states, e_stats = Engine.run_emit ~max_words ~sink:es g (mk ()) in
   let rs, rr = Engine.Sink.counters () in
-  let r_states, r_stats = Runtime.run_reference ~max_words ~sink:rs g (mk ()) in
+  let r_states, r_stats = Reference.run ~max_words ~sink:rs g (mk ()) in
   if e_states <> r_states then Alcotest.failf "%s: final states differ" what;
   check_stats what e_stats r_stats;
   List.iter2
@@ -283,20 +279,20 @@ let prop_degrade_bit_identical =
       (* arbitrary — even dishonest — hints must be invisible under degrade *)
       let wake _ =
         match hseed mod 4 with
-        | 0 -> Runtime.Always
-        | 1 -> Runtime.Next
-        | 2 -> Runtime.OnMessage
-        | _ -> Runtime.At (hseed mod 17)
+        | 0 -> Engine.Always
+        | 1 -> Engine.Next
+        | 2 -> Engine.OnMessage
+        | _ -> Engine.At (hseed mod 17)
       in
       List.iter
         (fun (fam, g) ->
           degraded_round_diff ("flood/" ^ fam) ~max_words:4 g (fun () ->
               flood_algorithm ~wake g (2 + (seed mod 4)));
           degraded_round_diff ("bfs/" ^ fam) ~max_words:Kdom.Bfs_tree.max_words
-            g (fun () -> { (Kdom.Bfs_tree.algorithm g ~root:0) with wake });
+            g (fun () -> { (Kdom.Bfs_tree.algorithm g ~root:0) with ewake = wake });
           degraded_round_diff ("smc/" ^ fam)
             ~max_words:Kdom.Simple_mst_congest.max_words g (fun () ->
-              { (Kdom.Simple_mst_congest.algorithm g ~k:2) with wake }))
+              { (Kdom.Simple_mst_congest.algorithm g ~k:2) with ewake = wake }))
         (graph_families seed);
       let p = Generators.path ~rng:(Rng.create seed) (2 + (seed mod 30)) in
       degraded_round_diff "token/path" ~max_words:4 p (fun () ->
@@ -320,10 +316,10 @@ let prop_sparse_round_consistency =
       let info, _ = Kdom.Bfs_tree.run t ~root:0 in
       if info.height > 2 then
         sparse_round_diff "census/tree" ~max_words:Kdom.Diam_dom.census_max_words
-          t (fun () -> Kdom.Diam_dom.census_algorithm info ~k:2);
+          t (fun () -> Kdom.Diam_dom.census_ealgorithm info ~k:2);
       let p = Generators.path ~rng:(Rng.create seed) (2 + (seed mod 30)) in
       sparse_round_diff "token/path" ~max_words:4 p (fun () ->
-          token_algorithm ~wake:(fun _ -> Runtime.OnMessage) p);
+          token_algorithm ~wake:(fun _ -> Engine.OnMessage) p);
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -332,7 +328,7 @@ let prop_sparse_round_consistency =
    records, and the same on_message event stream in the same order — for
    every domain count.  Combined with the groups above (sequential engine =
    reference), this pins the sharded engine round-for-round to
-   [run_reference] transitively. *)
+   [Reference.run] transitively. *)
 
 let domain_counts = [ 1; 2; 4 ]
 
@@ -350,10 +346,10 @@ let record_sink () =
 
 let sharded_diff what ?partition ~domains ~max_words g mk =
   let s1, r1 = record_sink () in
-  let b_states, b_stats = Engine.run ~max_words ~sink:s1 g (mk ()) in
+  let b_states, b_stats = Engine.run_emit ~max_words ~sink:s1 g (mk ()) in
   let s2, r2 = record_sink () in
   let d_states, d_stats =
-    Engine.run ~max_words ~sink:s2 ~domains ?partition g (mk ())
+    Engine.run_emit ~max_words ~sink:s2 ~domains ?partition g (mk ())
   in
   let what = Printf.sprintf "%s (domains=%d)" what domains in
   if d_states <> b_states then Alcotest.failf "%s: final states differ" what;
@@ -402,9 +398,9 @@ let prop_sharded_bit_identical =
       List.iter
         (fun domains ->
           sharded_diff "token/path" ~domains ~max_words:4 p (fun () ->
-              token_algorithm ~wake:(fun _ -> Runtime.OnMessage) p);
+              token_algorithm ~wake:(fun _ -> Engine.OnMessage) p);
           sharded_diff "flood/path" ~domains ~max_words:4 p (fun () ->
-              flood_algorithm ~wake:(fun _ -> Runtime.Next) p
+              flood_algorithm ~wake:(fun _ -> Engine.Next) p
                 (2 + (seed mod 4))))
         domain_counts;
       true)
@@ -415,7 +411,7 @@ let prop_sharded_bit_identical =
 let test_sharded_violations_agree () =
   let g = Generators.path ~rng:(Rng.create 11) 6 in
   let outcome domains algo =
-    match Engine.run ~domains g algo with
+    match Engine.run_emit ~domains g algo with
     | _ -> Ok ()
     | exception Engine.Congestion_violation m -> Error m
   in
@@ -423,38 +419,20 @@ let test_sharded_violations_agree () =
     [
       ( "non-neighbor",
         fun () ->
-          {
-            Engine.init = (fun _ v -> v);
-            step =
-              (fun _ ~round:_ ~node st _ ->
-                (st, if node = 2 then [ (5, [| 0 |]) ] else []));
-            halted = (fun _ -> false);
-            wake = Engine.always;
-          } );
+          violator (fun node em -> if node = 2 then Engine.Emit.frame1 em ~dst:5 0) );
       ( "concurrent duplicates",
         (* two offenders in different shards: node 1's must win *)
         fun () ->
-          {
-            Engine.init = (fun _ v -> v);
-            step =
-              (fun _ ~round:_ ~node st _ ->
-                ( st,
-                  if node = 1 || node = 4 then
-                    [ (node + 1, [| 0 |]); (node + 1, [| 1 |]) ]
-                  else [] ));
-            halted = (fun _ -> false);
-            wake = Engine.always;
-          } );
+          violator (fun node em ->
+              if node = 1 || node = 4 then begin
+                Engine.Emit.frame1 em ~dst:(node + 1) 0;
+                Engine.Emit.frame1 em ~dst:(node + 1) 1
+              end) );
       ( "halted receiver",
         fun () ->
-          {
-            Engine.init = (fun _ v -> v);
-            step =
-              (fun _ ~round:_ ~node st _ ->
-                (st, if node = 1 then [ (0, [| 7 |]) ] else []));
-            halted = (fun v -> v = 0);
-            wake = Engine.always;
-          } );
+          violator
+            ~halted:(fun v -> v = 0)
+            (fun node em -> if node = 1 then Engine.Emit.frame1 em ~dst:0 7) );
     ]
   in
   List.iter
@@ -480,10 +458,10 @@ let test_sharded_violations_agree () =
 let test_counters_merge_safe () =
   let g = Generators.gnp_connected ~rng:(Rng.create 41) ~n:40 ~p:0.12 in
   let c0, r0 = Engine.Sink.counters () in
-  let _ = Engine.run ~sink:c0 g (Kdom.Leader.algorithm g) in
+  let _ = Engine.run_emit ~sink:c0 g (Kdom.Leader.algorithm g) in
   let c1, r1 = Engine.Sink.counters () in
   let c2, r2 = Engine.Sink.counters () in
-  let _ = Engine.run ~sink:(Engine.Sink.tee c1 c2) g (Kdom.Leader.algorithm g) in
+  let _ = Engine.run_emit ~sink:(Engine.Sink.tee c1 c2) g (Kdom.Leader.algorithm g) in
   let single = r0 () in
   if r1 () <> single then Alcotest.fail "tee left != single";
   if r2 () <> single then Alcotest.fail "tee right != single";
@@ -534,7 +512,7 @@ let test_counters_merge_safe () =
 let test_async_matches_engine () =
   let g = Generators.gnp_connected ~rng:(Rng.create 21) ~n:45 ~p:0.12 in
   let sync_states, sync_stats =
-    Engine.run ~max_words:Kdom.Leader.max_words g (Kdom.Leader.algorithm g)
+    Engine.run_emit ~max_words:Kdom.Leader.max_words g (Kdom.Leader.algorithm g)
   in
   List.iter
     (fun (seed, max_delay) ->
@@ -553,7 +531,7 @@ let test_async_matches_engine () =
 let test_async_bfs_matches_engine () =
   let g = Generators.random_tree ~rng:(Rng.create 22) 60 in
   let sync_states, _ =
-    Engine.run ~max_words:Kdom.Bfs_tree.max_words g
+    Engine.run_emit ~max_words:Kdom.Bfs_tree.max_words g
       (Kdom.Bfs_tree.algorithm g ~root:0)
   in
   List.iter

@@ -1,7 +1,7 @@
 (* Fault-matrix tests: every message-level algorithm in the repository,
    executed by Async.run_reliable under randomized drop/duplication/
    reordering/slowdown regimes (and crash-recovery schedules), must reach
-   quiescence with final states bit-identical to the synchronous Runtime.run
+   quiescence with final states bit-identical to the synchronous Engine.run_emit
    — the α-synchronizer argument of §1.2 extended to lossy links by the
    sequence-numbered ack/retransmit layer.  Decoded outputs are additionally
    validated against the centralized Oracle, so a bug that breaks both
@@ -13,14 +13,14 @@
 open Kdom_graph
 open Kdom_congest
 
-let dummy_stats = { Runtime.rounds = 0; messages = 0; max_inflight = 0 }
+let dummy_stats = { Engine.rounds = 0; messages = 0; max_inflight = 0 }
 
 (* One algorithm under test: name, word budget, a fresh instance per
    backend (mutable closures must not leak between executions), and an
    oracle over the decoded final states. *)
 type case =
   | Case :
-      string * int * (unit -> 'st Runtime.algorithm) * ('st array -> unit)
+      string * int * (unit -> 'st Engine.ealgorithm) * ('st array -> unit)
       -> case
 
 let bfs_case g =
@@ -42,7 +42,7 @@ let census_case g ~k =
       (Case
          ( "census",
            Kdom.Diam_dom.census_max_words,
-           (fun () -> Kdom.Diam_dom.census_algorithm info ~k),
+           (fun () -> Kdom.Diam_dom.census_ealgorithm info ~k),
            fun states ->
              let dom = Kdom.Diam_dom.dominating_of_states states in
              let centers = ref [] in
@@ -116,7 +116,7 @@ let pipeline_case g ~k =
 let check_case ?(what = "") ~faults ~max_delay ~rng_seed g
     (Case (name, max_words, mk, oracle)) =
   let what = name ^ what in
-  let sync_states, _ = Runtime.run ~max_words g (mk ()) in
+  let sync_states, _ = Engine.run_emit ~max_words g (mk ()) in
   let states, frep =
     Async.run_reliable ~rng:(Rng.create rng_seed) ~faults ~max_delay ~max_words
       g (mk ())
@@ -341,7 +341,7 @@ let test_sink_consistency_under_faults () =
 let test_duplicates_not_delivered_twice () =
   let g = Generators.gnp_connected ~rng:(Rng.create 83) ~n:14 ~p:0.25 in
   let _, sync_stats =
-    Runtime.run ~max_words:Kdom.Leader.max_words g (Kdom.Leader.algorithm g)
+    Engine.run_emit ~max_words:Kdom.Leader.max_words g (Kdom.Leader.algorithm g)
   in
   let counters, rounds_info = Engine.Sink.counters () in
   let faults = Faults.lossy ~duplicate:1.0 ~seed:19 () in
@@ -357,9 +357,9 @@ let test_duplicates_not_delivered_twice () =
   if frep.duplicated = 0 then
     Alcotest.fail "a 100%-duplication link duplicated nothing";
   Alcotest.(check int) "alg_messages = synchronous message count"
-    sync_stats.Runtime.messages frep.report.alg_messages;
+    sync_stats.Engine.messages frep.report.alg_messages;
   Alcotest.(check int) "sink delivered = synchronous message count"
-    sync_stats.Runtime.messages delivered
+    sync_stats.Engine.messages delivered
 
 (* Determinism: same seeds, same everything. *)
 let test_deterministic () =
@@ -375,6 +375,55 @@ let test_deterministic () =
   Alcotest.(check int) "same frame count" f1.frames f2.frames;
   Alcotest.(check int) "same retransmits" f1.retransmits f2.retransmits;
   Alcotest.(check int) "same drops" f1.dropped f2.dropped
+
+(* ------------------------------------------------------------------ *)
+(* Send order *)
+
+(* One fixed drop/duplicate regime and seed per message-level algorithm
+   that once returned its sends as a list, with the fault tallies and a
+   digest of the logical send sequence recorded from that list version.
+   Every frame of one step leaves at the same instant and consumes the same
+   number of fault and delay draws, so the tallies alone do not move when a
+   step's frames are reordered; the digest of the sink's [on_message]
+   sequence does, and it is what pins each algorithm's send order. *)
+let test_send_order_pinned () =
+  let g = Generators.gnp_connected ~rng:(Rng.create 29) ~n:20 ~p:0.2 in
+  let t = Generators.random_tree ~rng:(Rng.create 30) 20 in
+  List.iter
+    (fun (g, Case (name, max_words, mk, oracle), pinned) ->
+      let digest = ref 0 in
+      let mix x = digest := ((!digest * 31) + x) land 0x3FFFFFFF in
+      let sink =
+        {
+          Engine.Sink.null with
+          on_message =
+            (fun ~round ~src ~dst ~words ->
+              mix round;
+              mix src;
+              mix dst;
+              mix words);
+        }
+      in
+      let states, frep =
+        Async.run_reliable ~rng:(Rng.create 43)
+          ~faults:(Faults.lossy ~drop:0.2 ~duplicate:0.1 ~seed:41 ())
+          ~max_delay:1.0 ~max_words ~sink g (mk ())
+      in
+      oracle states;
+      let dropped, duplicated, retransmits, alg_messages, order = pinned in
+      Alcotest.(check int) (name ^ ": dropped") dropped frep.dropped;
+      Alcotest.(check int) (name ^ ": duplicated") duplicated frep.duplicated;
+      Alcotest.(check int) (name ^ ": retransmits") retransmits frep.retransmits;
+      Alcotest.(check int) (name ^ ": alg_messages") alg_messages
+        frep.report.alg_messages;
+      Alcotest.(check int) (name ^ ": send-order digest") order !digest)
+    [
+      (g, bfs_case g, (791, 279, 707, 124, 226314305));
+      (g, leader_case g, (951, 356, 873, 287, 966325400));
+      (t, coloring_case t, (492, 178, 445, 171, 765045078));
+      (g, smc_case g ~k:2, (2835, 1132, 2620, 258, 194035305));
+      (g, pipeline_case g ~k:2, (404, 149, 354, 105, 1058432000));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Corruption storms *)
@@ -511,6 +560,8 @@ let () =
           Alcotest.test_case "duplicates delivered exactly once" `Quick
             test_duplicates_not_delivered_twice;
           Alcotest.test_case "determinism" `Quick test_deterministic;
+          Alcotest.test_case "send order pinned under faults" `Quick
+            test_send_order_pinned;
         ] );
       ( "corruption",
         [

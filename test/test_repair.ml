@@ -91,28 +91,29 @@ let test_overlapping_windows_rejected () =
    between the executors is a churn-application bug. *)
 type gossip = { neighbors : int list; best : int; halted : bool }
 
-let gossip_algorithm g ~rounds : gossip Engine.algorithm =
-  let init _g v =
+let gossip_algorithm g ~rounds : gossip Engine.ealgorithm =
+  let einit _g v =
     {
       neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
       best = v;
       halted = false;
     }
   in
-  let step _g ~round ~node:_ st inbox =
+  let estep _g ~round ~node:_ st inbox em =
     let best =
       Engine.Inbox.fold (fun b _ payload -> max b payload.(0)) st.best inbox
     in
-    if round >= rounds then ({ st with best; halted = true }, [])
-    else
-      ( { st with best },
-        List.map (fun u -> (u, [| best |])) st.neighbors )
+    if round >= rounds then { st with best; halted = true }
+    else begin
+      List.iter (fun u -> Engine.Emit.frame1 em ~dst:u best) st.neighbors;
+      { st with best }
+    end
   in
   {
-    Engine.init;
-    step;
-    halted = (fun st -> st.halted);
-    wake = (fun _ -> Engine.Always);
+    Engine.einit;
+    estep;
+    ehalted = (fun st -> st.halted);
+    ewake = (fun _ -> Engine.Always);
   }
 
 let test_engine_reference_churn_differential () =
@@ -125,20 +126,20 @@ let test_engine_reference_churn_differential () =
       let e = Engine.create g in
       let churn = Engine.Churn.compile e events in
       let s1, st1 =
-        Engine.exec ~max_words:1 ~churn e (gossip_algorithm g ~rounds:10)
+        Engine.exec_emit ~max_words:1 ~churn e (gossip_algorithm g ~rounds:10)
       in
       (* the schedule is reset on entry, so the same compiled value drives
          the reference run *)
       let s2, st2 =
-        Runtime.run_reference ~max_words:1 ~churn g (gossip_algorithm g ~rounds:10)
+        Reference.run ~max_words:1 ~churn g (gossip_algorithm g ~rounds:10)
       in
       if s1 <> s2 then
         Alcotest.failf "seed %d: engine and reference states differ under churn"
           seed;
       Alcotest.(check int) "same round count" st1.Engine.rounds
-        st2.Runtime.rounds;
+        st2.Engine.rounds;
       Alcotest.(check int) "same delivered count" st1.Engine.messages
-        st2.Runtime.messages)
+        st2.Engine.messages)
     [ 5; 23; 71 ]
 
 (* The sharded engine must make the same churn observations as the
@@ -158,7 +159,7 @@ let test_sharded_churn_differential () =
       let run domains =
         let sink, rounds = Engine.Sink.counters () in
         let states, stats =
-          Engine.exec ~max_words:1 ~sink ~churn ~domains e
+          Engine.exec_emit ~max_words:1 ~sink ~churn ~domains e
             (gossip_algorithm g ~rounds:10)
         in
         (states, stats, rounds ())
@@ -195,7 +196,7 @@ let test_crashed_counter_sums () =
   let churn = Engine.Churn.compile e events in
   let counters, rounds_info = Engine.Sink.counters () in
   let _ =
-    Engine.exec ~max_words:1 ~sink:counters ~churn e
+    Engine.exec_emit ~max_words:1 ~sink:counters ~churn e
       (gossip_algorithm g ~rounds:10)
   in
   let sum =
@@ -574,8 +575,8 @@ let test_corrupt_churn_differential () =
       if t4 <> t1 then Alcotest.failf "%s: 4-domain tally differs" what;
       (* the same compiled churn value drives the reference run *)
       let sr, _ =
-        Runtime.run_reference ~max_words:Repair.max_words
-          ~max_rounds:(horizon + 2) ~churn ~corrupt g (Repair.algorithm g cfg)
+        Reference.run ~max_words:Repair.max_words
+          ~max_rounds:(horizon + 2) ~churn ~corrupt g (Repair.ealgorithm g cfg)
       in
       if sr <> s1 then Alcotest.failf "%s: reference states differ" what;
       if corrupt_tally corrupt <> t1 then

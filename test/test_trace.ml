@@ -91,7 +91,7 @@ let test_synthetic_spans_and_tracks () =
 let test_engine_rounds_drive_clock () =
   let g = Generators.random_tree ~rng:(Rng.create 3) 24 in
   let tr = Trace.create () in
-  let _info, (stats : Runtime.stats) = Kdom.Bfs_tree.run ~trace:tr g ~root:0 in
+  let _info, (stats : Engine.stats) = Kdom.Bfs_tree.run ~trace:tr g ~root:0 in
   Alcotest.(check int) "clock = engine rounds" stats.rounds (Trace.clock tr);
   Alcotest.(check int) "one round record per round" stats.rounds
     (List.length (Trace.rounds tr));
