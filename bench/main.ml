@@ -752,9 +752,24 @@ let smoke () =
   let d = Diam_dom.run t ~root:0 ~k:2 in
   if not (List.length (Diam_dom.dominating_list d) <= (200 + 2) / 3) then
     failwith "smoke: DiamDOM size bound violated";
-  pf "smoke OK: flood %d msgs, token %d rounds, diamdom |D|=%d@."
+  (* The CSR build is linear and tuple-free: the edge records are its only
+     minor-heap allocation (5 words each), so a per-node sort over boxed
+     pairs or a hashed duplicate check would blow the 8 words/edge gate.
+     Minor words are a deterministic count, unlike a timing. *)
+  let grid = Generators.grid ~rng:(seeded 4) ~rows:200 ~cols:200 in
+  let triples = Array.map (fun (e : Graph.edge) -> (e.u, e.v, e.w)) (Graph.edges grid) in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Graph.of_edge_array ~n:(Graph.n grid) triples));
+  let words_per_edge = (Gc.minor_words () -. w0) /. float_of_int (Array.length triples) in
+  if words_per_edge > 8.0 then
+    failwith
+      (Printf.sprintf "smoke: Graph.of_edge_array allocates %.1f minor words/edge (> 8)"
+         words_per_edge);
+  pf "smoke OK: flood %d msgs, token %d rounds, diamdom |D|=%d, CSR build %.2f \
+      minor words/edge@."
     r1.er_messages r2.er_rounds
     (List.length (Diam_dom.dominating_list d))
+    words_per_edge
 
 (* ------------------------------------------------------------------ *)
 (* SCHED — the sparse event-driven scheduler against the dense schedule
@@ -1869,14 +1884,12 @@ let cheap_centers g ~k ~seed =
           let x = Queue.pop q in
           let dx = Hashtbl.find dist x in
           if dx < k then
-            Array.iter
-              (fun (u, _) ->
-                if not (Hashtbl.mem dist u) then begin
-                  Hashtbl.replace dist u (dx + 1);
-                  covered.(u) <- true;
-                  Queue.add u q
-                end)
-              (Graph.neighbors g x)
+            Graph.iter_neighbors g x (fun u _ ->
+              if not (Hashtbl.mem dist u) then begin
+                Hashtbl.replace dist u (dx + 1);
+                covered.(u) <- true;
+                Queue.add u q
+              end)
         done
       end)
     order;

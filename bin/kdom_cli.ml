@@ -66,6 +66,20 @@ let pos_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* A precondition on the generated input (a tree-only algorithm on a
+   non-tree family, say) is a usage error too, not an internal one: the
+   command body raises [Usage] and [total] turns it into a cmdliner term
+   error, reported with the usage line and exit 124.  Commands wrapped by
+   [total] take a final [()] so they run inside the handler. *)
+exception Usage of string
+
+let usage fmt = Printf.ksprintf (fun msg -> raise (Usage msg)) fmt
+
+let total term =
+  Term.(
+    term_result ~usage:true
+      (const (fun run -> try Ok (run ()) with Usage msg -> Error (`Msg msg)) $ term))
+
 let n_arg = Arg.(value & opt int 500 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
 let k_arg = Arg.(value & opt pos_int 4 & info [ "k"; "param" ] ~docv:"K" ~doc:"Domination parameter k.")
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
@@ -198,16 +212,15 @@ type fault_case =
       int * (unit -> 'st Kdom_congest.Engine.ealgorithm) * ('st array -> string)
       -> fault_case
 
-(* The algorithm menu shared by the [faults] and [trace] subcommands: a
-   node program plus its word budget and a result oracle. *)
+(* The algorithm menu shared by the [faults], [chaos] and [trace]
+   subcommands: a node program plus its word budget and a result oracle. *)
+let fault_algos = [ "bfs"; "coloring"; "census"; "leader"; "smc"; "pipeline" ]
+
 let fault_case g ~k algo =
   let open Kdom_congest in
   let n = Graph.n g in
   let dummy = { Engine.rounds = 0; messages = 0; max_inflight = 0 } in
-  let need_tree what =
-    if not (Tree.is_tree g) then
-      invalid_arg (Printf.sprintf "%s needs a tree family" what)
-  in
+  let need_tree what = if not (Tree.is_tree g) then usage "%s needs a tree family" what in
   match algo with
     | "bfs" ->
       Fault_case
@@ -230,7 +243,7 @@ let fault_case g ~k algo =
       need_tree "census";
       let info, _ = Kdom.Bfs_tree.run g ~root:0 in
       if info.height <= k then
-        invalid_arg "census: tree height <= k, no census stage runs";
+        usage "census: tree height <= k, no census stage runs";
       Fault_case
         ( Kdom.Diam_dom.census_max_words,
           (fun () -> Kdom.Diam_dom.census_ealgorithm info ~k),
@@ -284,18 +297,14 @@ let fault_case g ~k algo =
                     (fun (e : Graph.edge) -> e.id)
                     (Kdom.Pipeline.selected_of_states g ~fragment_of
                        ~root:bfs.root states))) )
-  | other ->
-    invalid_arg
-      (Printf.sprintf
-         "unknown algorithm %S (bfs, coloring, census, leader, smc, pipeline)"
-         other)
+  | other -> usage "%S is not a message-level algorithm (%s)" other (String.concat ", " fault_algos)
 
 (* --repair: run the self-healing maintenance layer under a seeded churn
    schedule instead of a message-level algorithm under link faults. *)
 let repair_cmd g ~k ~seed ~crashes ~cuts ~trace_file =
   let open Kdom_congest in
   if not (Tree.is_tree g) then
-    invalid_arg "--repair needs a tree family (the partition host is a tree)";
+    usage "--repair needs a tree family (the partition host is a tree)";
   let plan = Kdom.Dom_partition.repair_plan g (Kdom.Dom_partition.run g ~k) in
   let beta = max 2 (k + 1) and lease = 2 in
   let dmax = Repair.default_dmax plan in
@@ -351,7 +360,7 @@ let repair_cmd g ~k ~seed ~crashes ~cuts ~trace_file =
   if verdict <> "ok" then exit 1
 
 let faults_cmd family n k seed algo drop dup slow fifo max_delay crashes cuts
-    repair domains trace_file =
+    repair domains trace_file () =
   set_domains domains;
   let open Kdom_congest in
   let g = make_graph ~family ~n ~seed in
@@ -404,7 +413,9 @@ let faults_cmd family n k seed algo drop dup slow fifo max_delay crashes cuts
 (* ------------------------------------------------------------------ *)
 (* trace: record a run as a span trace (versioned JSONL or Chrome JSON) *)
 
-let trace_cmd family n k seed algo out format drop dup validate =
+let sync_trace_algos = [ "bfs"; "coloring"; "leader"; "diamdom"; "smc"; "dom"; "mst" ]
+
+let trace_cmd family n k seed algo out format drop dup validate () =
   let open Kdom_congest in
   match validate with
   | Some path ->
@@ -422,10 +433,7 @@ let trace_cmd family n k seed algo out format drop dup validate =
     Format.eprintf "graph: n=%d m=%d diameter=%d@." (Graph.n g) (Graph.m g)
       (Traversal.diameter g);
     let tr = Trace.create () in
-    let need_tree what =
-      if not (Tree.is_tree g) then
-        invalid_arg (Printf.sprintf "%s needs a tree family" what)
-    in
+    let need_tree what = if not (Tree.is_tree g) then usage "%s needs a tree family" what in
     (if drop > 0.0 || dup > 0.0 then begin
        (* faulty run: reliable delivery over fault injection *)
        let (Fault_case (max_words, mk, _verdict)) = fault_case g ~k algo in
@@ -458,17 +466,12 @@ let trace_cmd family n k seed algo out format drop dup validate =
          else ignore (Kdom.Fastdom_graph.run ~trace:tr g ~k)
        | "mst" -> ignore (Kdom.Fast_mst.run ~trace:tr g)
        | other ->
-         invalid_arg
-           (Printf.sprintf
-              "unknown algorithm %S (sync: bfs, coloring, leader, diamdom, smc, \
-               dom, mst; with --drop/--dup: bfs, coloring, census, leader, smc, \
-               pipeline)"
-              other));
+         usage "algorithm %S runs only with --drop/--dup (synchronous: %s)" other
+           (String.concat ", " sync_trace_algos));
     let write oc =
       match format with
-      | "jsonl" -> Trace.export_jsonl tr oc
-      | "chrome" -> Trace.export_chrome tr oc
-      | other -> invalid_arg (Printf.sprintf "unknown format %S (jsonl, chrome)" other)
+      | `Jsonl -> Trace.export_jsonl tr oc
+      | `Chrome -> Trace.export_chrome tr oc
     in
     (match out with
     | Some path ->
@@ -479,12 +482,11 @@ let trace_cmd family n k seed algo out format drop dup validate =
     | None -> write stdout);
     Format.eprintf "%a@." Metrics.pp (Metrics.report tr)
 
+let enum_of names = Arg.enum (List.map (fun a -> (a, a)) names)
+
 let algo_arg =
-  Arg.(
-    value
-    & opt string "bfs"
-    & info [ "algo" ] ~docv:"ALGO"
-        ~doc:"Algorithm: bfs, coloring, census, leader, smc, pipeline.")
+  let doc = "Algorithm: " ^ Arg.doc_alts fault_algos ^ "." in
+  Arg.(value & opt (enum_of fault_algos) "bfs" & info [ "algo" ] ~docv:"ALGO" ~doc)
 
 let drop_arg =
   Arg.(
@@ -554,10 +556,11 @@ let faults_t =
           delivery over fault injection) and verify it against the \
           synchronous execution; with $(b,--repair), run the self-healing \
           k-dominating-set maintenance layer under topology churn instead.")
-    Term.(
-      const faults_cmd $ family_arg $ n_arg $ k_arg $ seed_arg $ algo_arg
-      $ drop_arg $ dup_arg $ slow_arg $ fifo_arg $ max_delay_arg $ churn_arg
-      $ cuts_arg $ repair_arg $ domains_arg $ trace_file_arg)
+    (total
+       Term.(
+         const faults_cmd $ family_arg $ n_arg $ k_arg $ seed_arg $ algo_arg
+         $ drop_arg $ dup_arg $ slow_arg $ fifo_arg $ max_delay_arg $ churn_arg
+         $ cuts_arg $ repair_arg $ domains_arg $ trace_file_arg))
 
 let trace_out_arg =
   Arg.(
@@ -568,14 +571,15 @@ let trace_out_arg =
 let trace_format_arg =
   Arg.(
     value
-    & opt string "jsonl"
+    & opt (enum [ ("jsonl", `Jsonl); ("chrome", `Chrome) ]) `Jsonl
     & info [ "format" ] ~docv:"FMT"
         ~doc:"Output format: jsonl (versioned schema) or chrome (Perfetto-loadable).")
 
 let trace_algo_arg =
+  let names = List.sort_uniq compare (sync_trace_algos @ fault_algos) in
   Arg.(
     value
-    & opt string "diamdom"
+    & opt (enum_of names) "diamdom"
     & info [ "algo" ] ~docv:"ALGO"
         ~doc:
           "Algorithm to trace: bfs, coloring, leader, diamdom, smc, dom, mst \
@@ -606,10 +610,11 @@ let trace_t =
          "Record an algorithm run as a span trace: versioned JSONL \
           (machine-checkable, see --validate) or Chrome trace-event JSON for \
           ui.perfetto.dev.")
-    Term.(
-      const trace_cmd $ family_arg $ n_arg $ k_arg $ seed_arg $ trace_algo_arg
-      $ trace_out_arg $ trace_format_arg $ trace_drop_arg $ trace_dup_arg
-      $ validate_arg)
+    (total
+       Term.(
+         const trace_cmd $ family_arg $ n_arg $ k_arg $ seed_arg $ trace_algo_arg
+         $ trace_out_arg $ trace_format_arg $ trace_drop_arg $ trace_dup_arg
+         $ validate_arg))
 
 let dom_t =
   Cmd.v
@@ -664,19 +669,13 @@ let serve_plan g ~k =
     let dom = Kdom.Fastdom_graph.run g ~k in
     Kdom.Cluster.plan_of_partition dom.partition
 
-let serve_cmd family n k seed mix_name requests window crashes retries domains
-    trace_file validate =
+let serve_cmd family n k seed (mix_name, mix) requests window crashes retries
+    domains trace_file validate =
   set_domains domains;
   let open Kdom_congest in
   let g = make_graph ~family ~n ~seed in
   describe g;
   let plan = serve_plan g ~k in
-  let mix =
-    match mix_name with
-    | "uniform" -> Kdom.Workload.uniform
-    | "hotspot" -> Kdom.Workload.hotspot
-    | other -> invalid_arg (Printf.sprintf "unknown mix %S (uniform, hotspot)" other)
-  in
   let reqs = Kdom.Workload.generate g plan mix ~seed:(seed + 1) ~requests ~window in
   let dmax = Array.fold_left max 0 plan.Repair.depth in
   let retry_after = (4 * dmax) + 8 in
@@ -744,7 +743,11 @@ let serve_t =
   let mix_arg =
     Arg.(
       value
-      & opt string "uniform"
+      & opt
+          (enum
+             [ ("uniform", ("uniform", Kdom.Workload.uniform));
+               ("hotspot", ("hotspot", Kdom.Workload.hotspot)) ])
+          ("uniform", Kdom.Workload.uniform)
       & info [ "mix" ] ~docv:"MIX"
           ~doc:"Workload mix: uniform (60/20/20, no skew) or hotspot (Zipf origins).")
   in
@@ -866,7 +869,7 @@ let dynamic_t =
 (* chaos: composed fault storms (loss + duplication + delay + crashes +
    corruption + churn) judged by the oracles *)
 
-let chaos_cmd family n k seed algo storm_name validate domains =
+let chaos_cmd family n k seed algo (storm_name, storm) validate domains () =
   set_domains domains;
   let open Kdom_congest in
   if validate then
@@ -881,19 +884,18 @@ let chaos_cmd family n k seed algo storm_name validate domains =
           s.Chaos.cuts s.Chaos.bursts)
       Chaos.presets
   else begin
-    let storm = Chaos.storm_of_name storm_name in
     Chaos.validate storm;
     let g = make_graph ~family ~n ~seed in
     describe g;
     Format.printf
       "storm: %s (flip=%g drop=%.2f dup=%.2f slow=%.2f crashes=%d kills=%d \
        cuts=%d)@."
-      (String.lowercase_ascii storm_name)
+      storm_name
       storm.Chaos.flip storm.Chaos.drop storm.Chaos.duplicate storm.Chaos.slow
       storm.Chaos.crashes storm.Chaos.kills storm.Chaos.cuts;
     if algo = "repair" then begin
       if not (Tree.is_tree g) then
-        invalid_arg "chaos repair needs a tree family (the partition host is a tree)";
+        usage "chaos repair needs a tree family (the partition host is a tree)";
       let plan = Kdom.Dom_partition.repair_plan g (Kdom.Dom_partition.run g ~k) in
       let v, rep = Chaos.run_repair ~seed ~storm g plan in
       Format.printf "%a@." Chaos.pp_verdict v;
@@ -923,11 +925,17 @@ let chaos_cmd family n k seed algo storm_name validate domains =
   end
 
 let storm_arg =
+  let presets = List.map (fun (name, s) -> (name, (name, s))) Kdom_congest.Chaos.presets in
   Arg.(
     value
-    & opt string "squall"
+    & opt (enum presets) (List.assoc "squall" presets)
     & info [ "storm" ] ~docv:"NAME"
-        ~doc:"Storm preset: calm, drizzle, squall or hurricane.")
+        ~doc:("Storm preset: " ^ doc_alts_enum presets ^ "."))
+
+let chaos_algo_arg =
+  let names = fault_algos @ [ "repair" ] in
+  let doc = "Algorithm: " ^ Arg.doc_alts names ^ "." in
+  Arg.(value & opt (enum_of names) "bfs" & info [ "algo" ] ~docv:"ALGO" ~doc)
 
 let chaos_validate_arg =
   Arg.(
@@ -944,9 +952,10 @@ let chaos_t =
           once — and require oracle-clean, bit-identical recovery; with \
           $(b,repair) as the algorithm, run the self-healing maintenance \
           layer over the storm's permanent churn plane instead.")
-    Term.(
-      const chaos_cmd $ family_arg $ n_arg $ k_arg $ seed_arg $ algo_arg
-      $ storm_arg $ chaos_validate_arg $ domains_arg)
+    (total
+       Term.(
+         const chaos_cmd $ family_arg $ n_arg $ k_arg $ seed_arg $ chaos_algo_arg
+         $ storm_arg $ chaos_validate_arg $ domains_arg))
 
 let () =
   let info =

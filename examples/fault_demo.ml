@@ -162,13 +162,11 @@ let () =
         while not (Queue.is_empty q) do
           let v = Queue.pop q in
           frag := v :: !frag;
-          Array.iter
-            (fun (u, _) ->
-              if in_cluster.(u) && not seen.(u) then begin
-                seen.(u) <- true;
-                Queue.add u q
-              end)
-            (Graph.neighbors t v)
+          Graph.iter_neighbors t v (fun u _ ->
+            if in_cluster.(u) && not seen.(u) then begin
+              seen.(u) <- true;
+              Queue.add u q
+            end)
         done;
         fragments := !frag :: !fragments
       end)

@@ -151,13 +151,11 @@ let intra_path t ~src ~dst =
   Queue.add src q;
   while (not (Hashtbl.mem parent dst)) && not (Queue.is_empty q) do
     let v = Queue.pop q in
-    Array.iter
-      (fun (u, _) ->
-        if inside u && not (Hashtbl.mem parent u) then begin
-          Hashtbl.replace parent u v;
-          Queue.add u q
-        end)
-      (Graph.neighbors t.graph v)
+    Graph.iter_neighbors t.graph v (fun u _ ->
+      if inside u && not (Hashtbl.mem parent u) then begin
+        Hashtbl.replace parent u v;
+        Queue.add u q
+      end)
   done;
   if not (Hashtbl.mem parent dst) then
     invalid_arg "Hierarchy.intra_path: cluster not connected";

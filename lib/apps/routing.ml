@@ -57,13 +57,11 @@ let intra_path scheme ~src ~dst =
   Queue.add src q;
   while (not (Hashtbl.mem parent dst)) && not (Queue.is_empty q) do
     let v = Queue.pop q in
-    Array.iter
-      (fun (u, _) ->
-        if inside u && not (Hashtbl.mem parent u) then begin
-          Hashtbl.replace parent u v;
-          Queue.add u q
-        end)
-      (Graph.neighbors scheme.graph v)
+    Graph.iter_neighbors scheme.graph v (fun u _ ->
+      if inside u && not (Hashtbl.mem parent u) then begin
+        Hashtbl.replace parent u v;
+        Queue.add u q
+      end)
   done;
   if not (Hashtbl.mem parent dst) then raise (Unreachable { src; dst });
   let rec walk v acc = if v = -1 then acc else walk (Hashtbl.find parent v) (v :: acc) in

@@ -6,7 +6,6 @@ type stats = { rounds : int; messages : int; max_inflight : int }
 
 exception Round_limit_exceeded of int
 exception Congestion_violation of string
-exception Duplicate_edge of { src : int; dst : int }
 
 (* The model's word is 16 bits; a message of O(log n) bits is a constant
    number of words for any practical n (= the historical default of 4) and
@@ -422,11 +421,14 @@ type t = {
   g : Graph.t;
   n : int;
   ports : int;  (* 2m directed slots *)
-  out_off : int array;  (* n+1: slot range of each source *)
-  out_dst : int array;  (* destination of each slot, strictly ascending per source *)
-  in_off : int array;   (* n+1: in-port range of each destination *)
-  in_slot : int array;  (* slots delivering to v, sender-ascending *)
-  in_src : int array;   (* sender of in_slot.(j) *)
+  (* The port map is Graph's own CSR, shared by reference: slot [s] is
+     index [s] of [Graph.targets g].  The graph is undirected, so node v's
+     segment [out_off.(v), out_off.(v+1)) lists both where v sends (slot
+     s, to out_dst.(s)) and who sends to v (out_dst.(j), on slot
+     rev_slot.(j)), sender-ascending. *)
+  out_off : int array;  (* n+1: Graph.offsets g *)
+  out_dst : int array;  (* 2m: Graph.targets g, strictly ascending per source *)
+  rev_slot : int array; (* 2m: slot of the reverse direction of each slot *)
   buf_a : buf;
   buf_b : buf;
   live : int array;     (* scratch: live node ids, ascending *)
@@ -472,57 +474,20 @@ let ensure_arena buf ~ports ~stride =
 let create g =
   let n = Graph.n g in
   let ports = 2 * Graph.m g in
-  let out_off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    out_off.(v + 1) <- out_off.(v) + Graph.degree g v
-  done;
-  let out_dst = Array.make (max 1 ports) (-1) in
-  for v = 0 to n - 1 do
-    let base = out_off.(v) in
-    Array.iteri (fun i (u, _) -> out_dst.(base + i) <- u) (Graph.neighbors g v)
-  done;
-  (* The send path binary-searches each source's [out_dst] segment, so the
-     port map is only correct on simple graphs: per source the destinations
-     must be strictly ascending.  {!Graph} guarantees this for its public
-     constructors; verify anyway so a duplicated (src, dst) port can never
-     be silently shadowed (with the old hashtable map the last duplicate
-     won), and so self-loops cannot alias a slot to its own inbox. *)
-  for v = 0 to n - 1 do
-    let base = out_off.(v) and stop = out_off.(v + 1) in
-    for s = base to stop - 1 do
-      if out_dst.(s) = v then
-        invalid_arg (Printf.sprintf "Engine.create: self-loop at node %d" v);
-      if s > base && out_dst.(s) = out_dst.(s - 1) then
-        raise (Duplicate_edge { src = v; dst = out_dst.(s) });
-      if s > base && out_dst.(s) < out_dst.(s - 1) then
-        invalid_arg
-          (Printf.sprintf "Engine.create: adjacency of node %d not sorted" v)
-    done
-  done;
-  let in_off = Array.make (n + 1) 0 in
-  for s = 0 to ports - 1 do
-    let d = out_dst.(s) in
-    in_off.(d + 1) <- in_off.(d + 1) + 1
-  done;
-  for v = 0 to n - 1 do
-    in_off.(v + 1) <- in_off.(v + 1) + in_off.(v)
-  done;
-  let in_slot = Array.make (max 1 ports) 0 in
-  let in_src = Array.make (max 1 ports) 0 in
-  let fill = Array.copy in_off in
-  (* sources visited in ascending id, so each in-port list comes out
-     sender-ascending — this is the inbox ordering guarantee *)
-  for v = 0 to n - 1 do
-    for s = out_off.(v) to out_off.(v + 1) - 1 do
-      let d = out_dst.(s) in
-      in_slot.(fill.(d)) <- s;
-      in_src.(fill.(d)) <- v;
-      fill.(d) <- fill.(d) + 1
-    done
-  done;
+  let out_off = Graph.offsets g and out_dst = Graph.targets g in
+  (* One pass over the shared CSR: sources ascend, and every neighbour
+     segment is sorted, so the reverse of (v -> u) is the next unclaimed
+     slot of u's segment. *)
+  let rev_slot = Array.make (max 1 ports) 0 in
+  let next = Array.sub out_off 0 n in
   let max_indeg = ref 0 in
   for v = 0 to n - 1 do
-    max_indeg := max !max_indeg (in_off.(v + 1) - in_off.(v))
+    max_indeg := max !max_indeg (out_off.(v + 1) - out_off.(v));
+    for s = out_off.(v) to out_off.(v + 1) - 1 do
+      let u = out_dst.(s) in
+      rev_slot.(s) <- next.(u);
+      next.(u) <- next.(u) + 1
+    done
   done;
   {
     g;
@@ -530,9 +495,7 @@ let create g =
     ports;
     out_off;
     out_dst;
-    in_off;
-    in_slot;
-    in_src;
+    rev_slot;
     buf_a = make_buf ~n ~ports;
     buf_b = make_buf ~n ~ports;
     live = Array.make (max 1 n) 0;
@@ -550,28 +513,16 @@ let create g =
 
 let graph e = e.g
 let port_count e = e.ports
-let degree e v = e.out_off.(v + 1) - e.out_off.(v)
+let degree e v = Graph.degree e.g v
 
 let iter_neighbors e v f =
   for s = e.out_off.(v) to e.out_off.(v + 1) - 1 do
     f e.out_dst.(s)
   done
 
-(* Binary search over the per-source sorted CSR segment: O(log deg src), no
-   hashing, no O(m) side table.  Any [dst] outside the segment — including
-   ids outside [0, n) — comes back as -1. *)
-let find_port e ~src ~dst =
-  if src < 0 || src >= e.n then -1
-  else begin
-    let lo = ref e.out_off.(src) and hi = ref e.out_off.(src + 1) in
-    let res = ref (-1) in
-    while !res < 0 && !lo < !hi do
-      let mid = !lo + ((!hi - !lo) / 2) in
-      let d = e.out_dst.(mid) in
-      if d = dst then res := mid else if d < dst then lo := mid + 1 else hi := mid
-    done;
-    !res
-  end
+(* Slots are Graph's CSR indices, so the port lookup is Graph's binary
+   search of the source's sorted segment. *)
+let find_port e ~src ~dst = Graph.port e.g src dst
 
 (* ------------------------------------------------------------------ *)
 (* Topology churn: a deterministic schedule of permanent node fail-stops
@@ -1275,10 +1226,10 @@ let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       ib.Inbox.fill_node <- -1;
       let dv = !cur in
       if dv.count.(v) > 0 then
-        for j = e.in_off.(v) to e.in_off.(v + 1) - 1 do
-          let slot = e.in_slot.(j) in
+        for j = e.out_off.(v) to e.out_off.(v + 1) - 1 do
+          let slot = e.rev_slot.(j) in
           if dv.wire.(slot) >= 0 then begin
-            ib.Inbox.src.(ib.Inbox.len) <- e.in_src.(j);
+            ib.Inbox.src.(ib.Inbox.len) <- e.out_dst.(j);
             ib.Inbox.slot.(ib.Inbox.len) <- slot;
             ib.Inbox.len <- ib.Inbox.len + 1
           end
@@ -1310,8 +1261,8 @@ let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       let len = Array.length c.Churn.ops in
       let kill v =
         if dv.count.(v) > 0 then begin
-          for j = e.in_off.(v) to e.in_off.(v + 1) - 1 do
-            let slot = e.in_slot.(j) in
+          for j = e.out_off.(v) to e.out_off.(v + 1) - 1 do
+            let slot = e.rev_slot.(j) in
             let wv = dv.wire.(slot) in
             if wv >= 0 then begin
               dv.wire.(slot) <- -1;
@@ -1849,7 +1800,7 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   for v = 0 to n - 1 do
     let s = shard_of.(v) in
     sizes.(s) <- sizes.(s) + 1;
-    let indeg = e.in_off.(v + 1) - e.in_off.(v) in
+    let indeg = e.out_off.(v + 1) - e.out_off.(v) in
     inports.(s) <- inports.(s) + indeg;
     if indeg > max_indeg.(s) then max_indeg.(s) <- indeg
   done;
@@ -2220,10 +2171,10 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
           let dwire = if !cur_is_a then wire_a else wire_b in
           let dcount = if !cur_is_a then count_a else count_b in
           if dcount.(v) > 0 then
-            for j = e.in_off.(v) to e.in_off.(v + 1) - 1 do
-              let slot = e.in_slot.(j) in
+            for j = e.out_off.(v) to e.out_off.(v + 1) - 1 do
+              let slot = e.rev_slot.(j) in
               if dwire.(slot) >= 0 then begin
-                ib.Inbox.src.(ib.Inbox.len) <- e.in_src.(j);
+                ib.Inbox.src.(ib.Inbox.len) <- e.out_dst.(j);
                 ib.Inbox.slot.(ib.Inbox.len) <- slot;
                 ib.Inbox.len <- ib.Inbox.len + 1
               end
@@ -2465,8 +2416,8 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
           let sh = shards.(shard_of.(v)) in
           let dvb = sbuf_of sh ~delivery:true in
           if dcount.(v) > 0 then begin
-            for j = e.in_off.(v) to e.in_off.(v + 1) - 1 do
-              let slot = e.in_slot.(j) in
+            for j = e.out_off.(v) to e.out_off.(v + 1) - 1 do
+              let slot = e.rev_slot.(j) in
               let wv = dwire.(slot) in
               if wv >= 0 then begin
                 dwire.(slot) <- -1;
@@ -2831,8 +2782,7 @@ let collect_step ~max_words (algo : 'st ealgorithm) g ~round ~node st ib =
         raise (Codec.Width_exceeded { budget = max_words; words = 1 });
       (* ascending neighbor order, the per-slot order the engine's
          broadcast writes *)
-      Array.iter (fun (u, _) -> out := (u, [| a |]) :: !out)
-        (Graph.neighbors g node));
+      Graph.iter_neighbors g node (fun u _ -> out := (u, [| a |]) :: !out));
   let st = algo.estep g ~round ~node st ib em in
   if em.Emit.eopen then
     invalid_arg "Engine.Emit: frame left open at end of step";

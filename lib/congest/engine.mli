@@ -219,12 +219,6 @@ exception Congestion_violation of string
     round, sends to a non-neighbor, exceeds the word budget, or a halted
     node receives a message. *)
 
-exception Duplicate_edge of { src : int; dst : int }
-(** Raised by {!create} when the graph presents two ports for the same
-    directed edge.  {!Graph}'s public constructors reject multigraphs, so
-    this guards hand-built adjacency: a duplicated port would otherwise be
-    silently shadowed by the binary-search port map. *)
-
 val default_max_words : int -> int
 (** [default_max_words n] is the per-message word budget implied by the
     paper's [O(log n)]-bit message model: enough 16-bit model words to
@@ -346,10 +340,13 @@ type t
     it. *)
 
 val create : Graph.t -> t
-(** Build the port map.  Verifies the simple-graph invariants the
-    binary-search send path relies on — raises {!Duplicate_edge} on a
-    duplicated [(src, dst)] port and [Invalid_argument] on a self-loop or
-    unsorted adjacency.  Sound for [n = 0] and [n = 1] (no ports). *)
+(** Build an engine for [g].  The port map is [g]'s own CSR
+    ({!Graph.offsets}, {!Graph.targets}), adopted by reference: slot [s]
+    is the directed edge [(v, Graph.targets g).(s)] for the [v] whose
+    segment holds [s].  {!Graph.of_edge_array} already guarantees the
+    sorted, loop-free, duplicate-free segments the binary-search send path
+    relies on, so [create] only derives the reverse-port column, in one
+    [O(n + m)] pass.  Sound for [n = 0] and [n = 1] (no ports). *)
 
 val graph : t -> Graph.t
 
@@ -363,8 +360,9 @@ val iter_neighbors : t -> int -> (int -> unit) -> unit
 
 val find_port : t -> src:int -> dst:int -> int
 (** The slot of directed edge [(src, dst)], or [-1] when [dst] is not a
-    neighbor of [src] (including ids outside [0, n)).  O(log deg src) by
-    binary search of the source's sorted CSR segment. *)
+    neighbor of [src] (including ids outside [0, n)).  Equal to
+    [Graph.port (graph e) src dst]: O(log deg src) by binary search of the
+    source's sorted CSR segment. *)
 
 (** Topology churn: a deterministic schedule of {e permanent} node
     fail-stops and directed-edge down/up events, compiled once against an

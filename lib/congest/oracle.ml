@@ -31,13 +31,11 @@ let distances_to_centers g centers =
     centers;
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
-    Array.iter
-      (fun (u, _) ->
-        if dist.(u) < 0 then begin
-          dist.(u) <- dist.(v) + 1;
-          Queue.add u q
-        end)
-      (Graph.neighbors g v)
+    Graph.iter_neighbors g v (fun u _ ->
+      if dist.(u) < 0 then begin
+        dist.(u) <- dist.(v) + 1;
+        Queue.add u q
+      end)
   done;
   dist
 
@@ -98,7 +96,7 @@ let eventual_k_domination ?(extra = []) g ~alive ~dead_edges ~centers ~bound =
       alive.(v) && alive.(u) && not (Hashtbl.mem dead (min v u, max v u))
     in
     let iter_nbrs v f =
-      Array.iter (fun (u, _) -> f u) (Graph.neighbors g v);
+      Graph.iter_neighbors g v (fun u _ -> f u);
       List.iter f extra_adj.(v)
     in
     let bfs dist seeds =
@@ -298,13 +296,11 @@ let partition g ~fragment_of ~min_size =
         Queue.add start q;
         while not (Queue.is_empty q) do
           let v = Queue.pop q in
-          Array.iter
-            (fun (u, _) ->
-              if fragment_of.(u) = f && not (Hashtbl.mem seen u) then begin
-                Hashtbl.replace seen u ();
-                Queue.add u q
-              end)
-            (Graph.neighbors g v)
+          Graph.iter_neighbors g v (fun u _ ->
+            if fragment_of.(u) = f && not (Hashtbl.mem seen u) then begin
+              Hashtbl.replace seen u ();
+              Queue.add u q
+            end)
         done;
         if Hashtbl.length seen <> size then
           fs :=

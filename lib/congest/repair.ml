@@ -104,7 +104,7 @@ let ealgorithm g cfg : state Engine.ealgorithm =
   let einit _g v =
     let joiner = plan.dominator.(v) = -1 && plan.parent.(v) = -1 in
     {
-      neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
+      neighbors = List.init (Graph.degree g v) (Graph.neighbor g v);
       phase = (if joiner then Orphan else Member);
       dom = plan.dominator.(v);
       parent = plan.parent.(v);

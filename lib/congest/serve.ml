@@ -650,13 +650,11 @@ let surviving_components g ~alive ~dead_edges =
       Queue.add v q;
       while not (Queue.is_empty q) do
         let x = Queue.pop q in
-        Array.iter
-          (fun (u, _) ->
-            if alive.(u) && comp.(u) < 0 && usable x u then begin
-              comp.(u) <- !next;
-              Queue.add u q
-            end)
-          (Graph.neighbors g x)
+        Graph.iter_neighbors g x (fun u _ ->
+          if alive.(u) && comp.(u) < 0 && usable x u then begin
+            comp.(u) <- !next;
+            Queue.add u q
+          end)
       done;
       incr next
     end

@@ -17,13 +17,11 @@ let simulate ~rng ?(max_delay = 1.0) g ~rounds =
       (* Pulse p at v fires once all neighbors' pulse p-1 safety messages
          arrived. *)
       let latest = ref t.(v) in
-      Array.iter
-        (fun (u, _) ->
-          let d = Rng.float rng max_delay in
-          delay_sum := !delay_sum +. d;
-          incr delay_count;
-          latest := Float.max !latest (t.(u) +. d))
-        (Graph.neighbors g v);
+      Graph.iter_neighbors g v (fun u _ ->
+        let d = Rng.float rng max_delay in
+        delay_sum := !delay_sum +. d;
+        incr delay_count;
+        latest := Float.max !latest (t.(u) +. d));
       next.(v) <- !latest
     done;
     Array.blit next 0 t 0 n

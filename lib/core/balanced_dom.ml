@@ -29,9 +29,8 @@ let run ?(small = Small_dom_set.via_mis) (t : Tree.t) =
         (* select outside the ORIGINAL dominating set, so that concurrent
            singleton fixes cannot pick each other *)
         let u = ref (-1) in
-        Array.iter
-          (fun (w, _) -> if (not sds.dominating.(w)) && (!u = -1 || w < !u) then u := w)
-          (Graph.neighbors t.graph v);
+        Graph.iter_neighbors t.graph v (fun w _ ->
+          if (not sds.dominating.(w)) && (!u = -1 || w < !u) then u := w);
         if !u = -1 then
           invalid_arg "Balanced_dom.run: singleton dominator with no neighbor outside D";
         dominating.(v) <- false;

@@ -36,7 +36,7 @@ let algorithm g ~root =
   let init _g v =
     {
       is_root = v = root;
-      neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
+      neighbors = List.init (Graph.degree g v) (Graph.neighbor g v);
       depth = -1;
       parent = -1;
       adopted_round = -1;

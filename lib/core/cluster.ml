@@ -42,13 +42,11 @@ let restricted_distances host c =
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
     let dv = Hashtbl.find dist v in
-    Array.iter
-      (fun (u, _) ->
-        if Hashtbl.mem inside u && not (Hashtbl.mem dist u) then begin
-          Hashtbl.replace dist u (dv + 1);
-          Queue.add u q
-        end)
-      (Graph.neighbors host v)
+    Graph.iter_neighbors host v (fun u _ ->
+      if Hashtbl.mem inside u && not (Hashtbl.mem dist u) then begin
+        Hashtbl.replace dist u (dv + 1);
+        Queue.add u q
+      end)
   done;
   dist
 
@@ -83,15 +81,13 @@ let write_tree host c ~parent ~depth =
   Queue.add c.center q;
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
-    Array.iter
-      (fun (u, _) ->
-        if Hashtbl.mem inside u && not (Hashtbl.mem seen u) then begin
-          Hashtbl.replace seen u ();
-          parent.(u) <- v;
-          depth.(u) <- depth.(v) + 1;
-          Queue.add u q
-        end)
-      (Graph.neighbors host v)
+    Graph.iter_neighbors host v (fun u _ ->
+      if Hashtbl.mem inside u && not (Hashtbl.mem seen u) then begin
+        Hashtbl.replace seen u ();
+        parent.(u) <- v;
+        depth.(u) <- depth.(v) + 1;
+        Queue.add u q
+      end)
   done;
   List.iter
     (fun v ->

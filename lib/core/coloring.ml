@@ -104,8 +104,8 @@ let mis (t : Tree.t) =
     List.iter
       (fun v ->
         if in_mis.(v) then
-          Array.iter (fun (u, _) -> if not in_mis.(u) then dominated.(u) <- true)
-            (Graph.neighbors t.graph v))
+          Graph.iter_neighbors t.graph v (fun u _ ->
+            if not in_mis.(u) then dominated.(u) <- true))
       nodes
   done;
   (in_mis, rounds + 3)

@@ -81,9 +81,8 @@ let resolve_s ?trace g ~k ~out ~s_set ledger =
         let target = ref (-1) in
         List.iter
           (fun v ->
-            Array.iter
-              (fun (u, _) -> if !target = -1 && owner.(u) >= 0 then target := owner.(u))
-              (Graph.neighbors g v))
+            Graph.iter_neighbors g v (fun u _ ->
+              if !target = -1 && owner.(u) >= 0 then target := owner.(u)))
           c.members;
         if !target = -1 then
           invalid_arg "Dom_partition: S cluster with no neighbor in P_out";
@@ -207,9 +206,8 @@ let run ?small ?trace g ~k =
             let target = ref (-1) in
             List.iter
               (fun v ->
-                Array.iter
-                  (fun (u, _) -> if !target = -1 && wowner.(u) >= 0 then target := wowner.(u))
-                  (Graph.neighbors g v))
+                Graph.iter_neighbors g v (fun u _ ->
+                  if !target = -1 && wowner.(u) >= 0 then target := wowner.(u)))
               c.members;
             if !target = -1 then s_set := c :: !s_set
             else begin

@@ -30,7 +30,7 @@ type state = {
 let algorithm g : state Engine.ealgorithm =
   let init _g v =
     {
-      neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
+      neighbors = List.init (Graph.degree g v) (Graph.neighbor g v);
       best = v;
       depth = 0;
       parent = -1;

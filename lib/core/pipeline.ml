@@ -83,9 +83,8 @@ let algorithm ?(eliminate_cycles = true) g ~(bfs : Bfs_tree.info) ~fragment_of =
     if round = 0 then begin
       (* descending neighbor order: the order this protocol has always
          sent its fragment ids in (see [Engine.ealgorithm] on send order) *)
-      let nbrs = Graph.neighbors g node in
-      for i = Array.length nbrs - 1 downto 0 do
-        Engine.Emit.frame2 em ~dst:(fst nbrs.(i)) tag_frag st.frag
+      for i = Graph.degree g node - 1 downto 0 do
+        Engine.Emit.frame2 em ~dst:(Graph.neighbor g node i) tag_frag st.frag
       done
     end
     else if round = 1 then

@@ -240,7 +240,7 @@ let algorithm g ~k : state Engine.ealgorithm =
     (* active nodes exchange fragment identities over every edge *)
     let st =
       if r = fragid_at && st.active then begin
-        Array.iter (fun (u, _) -> send2 u tag_fragid st.frag_id) (Graph.neighbors g node);
+        Graph.iter_neighbors g node (fun u _ -> send2 u tag_fragid st.frag_id);
         st
       end
       else st
@@ -249,18 +249,16 @@ let algorithm g ~k : state Engine.ealgorithm =
     let st =
       if r = fragid_at + 1 && st.active && not st.classified then begin
         let own_min = ref None in
-        Array.iter
-          (fun (u, (e : Graph.edge)) ->
-            let same =
-              match List.assoc_opt u st.fragids with
-              | Some id -> id = st.frag_id
-              | None -> false
-            in
-            if not same then
-              match !own_min with
-              | Some (w, _) when w <= e.w -> ()
-              | _ -> own_min := Some (e.w, u))
-          (Graph.neighbors g node);
+        Graph.iter_neighbors g node (fun u (e : Graph.edge) ->
+          let same =
+            match List.assoc_opt u st.fragids with
+            | Some id -> id = st.frag_id
+            | None -> false
+          in
+          if not same then
+            match !own_min with
+            | Some (w, _) when w <= e.w -> ()
+            | _ -> own_min := Some (e.w, u));
         let best_w, best_owner =
           match !own_min with Some (w, _) -> (w, -2) | None -> (max_int, -2)
         in

@@ -13,9 +13,8 @@ let via_mis (t : Tree.t) =
       else begin
         (* adopt the smallest adjacent MIS node; one exists by maximality *)
         let best = ref (-1) in
-        Array.iter
-          (fun (u, _) -> if in_mis.(u) && (!best = -1 || u < !best) then best := u)
-          (Graph.neighbors t.graph v);
+        Graph.iter_neighbors t.graph v (fun u _ ->
+          if in_mis.(u) && (!best = -1 || u < !best) then best := u);
         if !best = -1 then invalid_arg "Small_dom_set.via_mis: MIS not maximal";
         dominator.(v) <- !best
       end)
@@ -39,9 +38,8 @@ let via_matching (t : Tree.t) =
     (fun v ->
       if mate.(v) = -1 then begin
         let best = ref (-1) in
-        Array.iter
-          (fun (u, _) -> if mate.(u) <> -1 && (!best = -1 || u < !best) then best := u)
-          (Graph.neighbors t.graph v);
+        Graph.iter_neighbors t.graph v (fun u _ ->
+          if mate.(u) <> -1 && (!best = -1 || u < !best) then best := u);
         if !best = -1 then invalid_arg "Small_dom_set.via_matching: matching not maximal";
         joined.(v) <- !best;
         got_join.(!best) <- true

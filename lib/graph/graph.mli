@@ -10,7 +10,23 @@ type edge = { u : int; v : int; w : int; id : int }
     [id] is the index of the edge in {!edges}. *)
 
 type t
-(** A graph. *)
+(** A graph, stored as flat CSR (compressed sparse row) adjacency.
+
+    Node [v]'s incident half-edges occupy the index range
+    [offsets.(v) .. offsets.(v+1) - 1] of {!targets} (the opposite
+    endpoint) and {!edge_ids} (the joining edge's id).  Invariants, enforced
+    by the only constructor {!of_edge_array}:
+    {ul
+    {- [offsets] has [n + 1] entries, [offsets.(0) = 0],
+       [offsets.(n) = 2 * m], non-decreasing;}
+    {- each node's segment of [targets] is strictly ascending (so there are
+       no duplicate edges) and never contains the node itself (no
+       self-loops);}
+    {- index [j] of [v]'s segment holds [u = targets.(j)] and
+       [e = edge_ids.(j)] with [edge g e] joining [u] and [v].}}
+
+    The index [j] is also the engine's port (slot) number for the directed
+    edge [(v, targets.(j))]. *)
 
 (** {1 Construction} *)
 
@@ -20,7 +36,10 @@ val of_edges : n:int -> (int * int * int) list -> t
     outside [0 .. n-1]. *)
 
 val of_edge_array : n:int -> (int * int * int) array -> t
-(** Array variant of {!of_edges}. *)
+(** Array variant of {!of_edges}.  Edge [i] of the input gets id [i].
+    Builds the CSR in [O(n + m)] time by counting sort, with no hashing.
+    The self-loop and range checks run over the whole input first, then the
+    duplicate check (in either orientation). *)
 
 (** {1 Accessors} *)
 
@@ -36,11 +55,40 @@ val edges : t -> edge array
 val edge : t -> int -> edge
 (** [edge g id] is the edge with identifier [id]. *)
 
-val neighbors : t -> int -> (int * edge) array
-(** [neighbors g v] lists [(u, e)] for each edge [e] incident to [v] with
-    opposite endpoint [u], in increasing order of [u]. *)
-
 val degree : t -> int -> int
+
+val neighbor : t -> int -> int -> int
+(** [neighbor g v i] is the [i]-th smallest neighbour of [v],
+    [0 <= i < degree g v].  Raises [Invalid_argument] outside that range. *)
+
+val iter_neighbors : t -> int -> (int -> edge -> unit) -> unit
+(** [iter_neighbors g v f] calls [f u e] for each edge [e] incident to [v]
+    with opposite endpoint [u], in increasing order of [u].  Allocates
+    nothing. *)
+
+val fold_neighbors : t -> int -> (int -> edge -> 'a -> 'a) -> 'a -> 'a
+(** [fold_neighbors g v f init] folds [f u e] over the same sequence as
+    {!iter_neighbors}, in the same order. *)
+
+val port : t -> int -> int -> int
+(** [port g u v] is the CSR index [j] with [targets.(j) = v] inside [u]'s
+    segment, or [-1] when [v] is not a neighbour of [u] (including when
+    either id is outside [0 .. n-1]).  O(log deg u) by binary search. *)
+
+(** {2 Shared CSR arrays}
+
+    These return the graph's own arrays, not copies: the engine adopts
+    them as its port map by reference.  They are never mutated after
+    construction, and callers must not mutate them either. *)
+
+val offsets : t -> int array
+(** The [n + 1] segment offsets. *)
+
+val targets : t -> int array
+(** The [2 * m] opposite endpoints, ascending within each segment. *)
+
+val edge_ids : t -> int array
+(** The [2 * m] edge ids, parallel to {!targets}. *)
 
 val other_endpoint : edge -> int -> int
 (** [other_endpoint e v] is the endpoint of [e] that is not [v]. *)

@@ -66,9 +66,8 @@ let prim g =
     let acc = ref [] in
     let add v =
       in_tree.(v) <- true;
-      Array.iter
-        (fun (u, (e : Graph.edge)) -> if not in_tree.(u) then Heap.push heap e.w e)
-        (Graph.neighbors g v)
+      Graph.iter_neighbors g v (fun u (e : Graph.edge) ->
+        if not in_tree.(u) then Heap.push heap e.w e)
     in
     add 0;
     while not (Heap.is_empty heap) do

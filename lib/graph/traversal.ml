@@ -23,15 +23,13 @@ let bfs_from_sources g sources source_label =
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
     Queue.add v order;
-    Array.iter
-      (fun (u, (e : Graph.edge)) ->
-        if dist.(u) = max_int then begin
-          dist.(u) <- dist.(v) + 1;
-          parent.(u) <- v;
-          parent_edge.(u) <- e.id;
-          Queue.add u q
-        end)
-      (Graph.neighbors g v)
+    Graph.iter_neighbors g v (fun u (e : Graph.edge) ->
+      if dist.(u) = max_int then begin
+        dist.(u) <- dist.(v) + 1;
+        parent.(u) <- v;
+        parent_edge.(u) <- e.id;
+        Queue.add u q
+      end)
   done;
   {
     source = source_label;
@@ -90,13 +88,11 @@ let components g =
       label.(v) <- id;
       while not (Stack.is_empty stack) do
         let x = Stack.pop stack in
-        Array.iter
-          (fun (u, _) ->
-            if label.(u) = -1 then begin
-              label.(u) <- id;
-              Stack.push u stack
-            end)
-          (Graph.neighbors g x)
+        Graph.iter_neighbors g x (fun u _ ->
+          if label.(u) = -1 then begin
+            label.(u) <- id;
+            Stack.push u stack
+          end)
       done
     end
   done;

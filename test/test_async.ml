@@ -66,7 +66,7 @@ let flood_algorithm rounds : flood Engine.ealgorithm =
       (fun g v ->
         {
           best = v;
-          neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
+          neighbors = List.init (Graph.degree g v) (Graph.neighbor g v);
           rounds_left = rounds;
         });
     ehalted = (fun st -> st.rounds_left = 0);

@@ -124,7 +124,7 @@ let prop_over_budget =
 (* Send a one-word frame to every neighbor, one [frame1] per edge: what
    [broadcast1] must be indistinguishable from. *)
 let frame_each_edge g node em a =
-  Array.iter (fun (u, _) -> Engine.Emit.frame1 em ~dst:u a) (Graph.neighbors g node)
+  Graph.iter_neighbors g node (fun u _ -> Engine.Emit.frame1 em ~dst:u a)
 
 (* The same flood kernel both ways: every node sends the round number to
    all neighbors for [rounds] rounds, then halts. *)

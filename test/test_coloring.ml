@@ -75,7 +75,7 @@ let check_mis g =
     (fun v ->
       if not in_mis.(v) then
         Alcotest.(check bool) "dominated" true
-          (Array.exists (fun (u, _) -> in_mis.(u)) (Graph.neighbors g v)))
+          (Graph.fold_neighbors g v (fun u _ acc -> acc || in_mis.(u)) false))
     (Tree.nodes t)
 
 let test_mis () = List.iter (fun (_, g) -> check_mis g) (tree_families 3)
@@ -149,7 +149,7 @@ let prop_mis_on_forest_components =
       && List.for_all
            (fun v ->
              in_mis.(v)
-             || Array.exists (fun (u, _) -> in_mis.(u)) (Graph.neighbors g v))
+             || Graph.fold_neighbors g v (fun u _ acc -> acc || in_mis.(u)) false)
            (Tree.nodes t))
 
 let () =

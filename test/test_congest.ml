@@ -18,7 +18,7 @@ let token_algorithm : token_state Engine.ealgorithm =
       (fun g v ->
         {
           pos = v;
-          neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
+          neighbors = List.init (Graph.degree g v) (Graph.neighbor g v);
           seen = false;
           halted = false;
         });
@@ -261,6 +261,26 @@ let test_find_port_bounds () =
   done;
   Alcotest.(check int) "all slots covered" (Engine.port_count e) (Hashtbl.length seen)
 
+(* The engine's port map is Graph's CSR: slot [s] is index [s] of
+   [Graph.targets], so every lookup agrees with [Graph.port]. *)
+let test_port_map_is_graph_csr () =
+  let g = Generators.gnp_connected ~rng:(Rng.create 7) ~n:60 ~p:0.15 in
+  let e = Engine.create g in
+  Alcotest.(check int) "port count" (Array.length (Graph.targets g)) (Engine.port_count e);
+  for v = 0 to Graph.n g - 1 do
+    Alcotest.(check int) "degree" (Graph.degree g v) (Engine.degree e v);
+    let seen = ref [] in
+    Engine.iter_neighbors e v (fun u -> seen := u :: !seen);
+    Alcotest.(check (list int)) "neighbors"
+      (List.init (Graph.degree g v) (Graph.neighbor g v))
+      (List.rev !seen);
+    for u = -1 to Graph.n g do
+      let s = Engine.find_port e ~src:v ~dst:u in
+      Alcotest.(check int) "find_port = Graph.port" (Graph.port g v u) s;
+      if s >= 0 then Alcotest.(check int) "slot target" u (Graph.targets g).(s)
+    done
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Ledger *)
 
@@ -376,6 +396,7 @@ let () =
           Alcotest.test_case "wake timer buckets" `Quick test_wake_timer;
           Alcotest.test_case "n=0 and n=1 engines" `Quick test_engine_empty_and_singleton;
           Alcotest.test_case "find_port bounds" `Quick test_find_port_bounds;
+          Alcotest.test_case "port map is Graph's CSR" `Quick test_port_map_is_graph_csr;
         ] );
       ("ledger", [ Alcotest.test_case "charges and merges" `Quick test_ledger ]);
       ( "cluster",

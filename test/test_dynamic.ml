@@ -29,7 +29,7 @@ type gossip = { neighbors : int list; best : int; halted : bool }
 let gossip_algorithm g ~rounds : gossip Engine.ealgorithm =
   let einit _g v =
     {
-      neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
+      neighbors = List.init (Graph.degree g v) (Graph.neighbor g v);
       best = v;
       halted = false;
     }
@@ -414,7 +414,7 @@ let test_preferential_attachment_shape () =
   let maxdeg =
     let best = ref 0 in
     for v = 0 to Graph.n g - 1 do
-      best := max !best (Array.length (Graph.neighbors g v))
+      best := max !best (Graph.degree g v)
     done;
     !best
   in

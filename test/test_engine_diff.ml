@@ -209,9 +209,7 @@ let flood_algorithm ?(wake = Engine.always) g rounds : flood Engine.ealgorithm =
         let best = Engine.Inbox.fold (fun a _ p -> max a p.(0)) st.best inbox in
         let st = { best; left = st.left - 1 } in
         if st.left > 0 then
-          Array.iter
-            (fun (u, _) -> Engine.Emit.frame1 em ~dst:u st.best)
-            (Graph.neighbors g node);
+          Graph.iter_neighbors g node (fun u _ -> Engine.Emit.frame1 em ~dst:u st.best);
         st);
     ewake = wake;
   }

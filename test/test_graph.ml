@@ -482,6 +482,110 @@ let prop_shard_balance =
       let ideal = max ((!total + shards - 1) / shards) max_item in
       max_load <= 2 * ideal)
 
+(* The counting-sort CSR builder against a naive reference: a random simple
+   graph (n = 0, m = 0 and isolated nodes included) fed in shuffled edge
+   order with randomly flipped endpoints.  Every node's (neighbour, edge
+   id) sequence must equal the sorted reference, the edge array must keep
+   input ids, and one injected fault must raise the exact message. *)
+let simple_graph_gen =
+  QCheck2.Gen.(
+    map3
+      (fun seed n density ->
+        let rng = Rng.create seed in
+        let pairs = ref [] in
+        for a = 0 to n - 1 do
+          for b = a + 1 to n - 1 do
+            if Rng.int rng 100 < density then pairs := (a, b) :: !pairs
+          done
+        done;
+        let arr = Array.of_list !pairs in
+        Rng.shuffle rng arr;
+        let arr =
+          Array.mapi
+            (fun i (a, b) -> if Rng.bool rng then (b, a, i + 1) else (a, b, i + 1))
+            arr
+        in
+        (seed, n, arr))
+      (int_bound 1_000_000) (int_bound 24) (int_bound 60))
+
+let print_simple_graph (seed, n, arr) =
+  Printf.sprintf "seed=%d n=%d edges=[%s]" seed n
+    (String.concat "; "
+       (Array.to_list (Array.map (fun (a, b, w) -> Printf.sprintf "(%d,%d,%d)" a b w) arr)))
+
+let csr_matches_reference n arr g =
+  let reference = Array.make n [] in
+  Array.iteri
+    (fun id (a, b, _) ->
+      reference.(a) <- (b, id) :: reference.(a);
+      reference.(b) <- (a, id) :: reference.(b))
+    arr;
+  let off = Graph.offsets g in
+  Graph.n g = n
+  && Graph.m g = Array.length arr
+  && Array.length off = n + 1
+  && off.(n) = 2 * Array.length arr
+  && Array.length (Graph.targets g) = 2 * Array.length arr
+  && Array.for_all2
+       (fun (a, b, w) (e : Graph.edge) ->
+         e.u = min a b && e.v = max a b && e.w = w)
+       arr (Graph.edges g)
+  && Array.for_all Fun.id (Array.mapi (fun i (e : Graph.edge) -> e.id = i) (Graph.edges g))
+  && List.for_all
+       (fun v ->
+         let want = List.sort compare reference.(v) in
+         let got =
+           List.rev (Graph.fold_neighbors g v (fun u e acc -> (u, e.Graph.id) :: acc) [])
+         in
+         let indexed =
+           List.init (Graph.degree g v) (fun i ->
+               (Graph.neighbor g v i, (Graph.edge_ids g).(off.(v) + i)))
+         in
+         got = want && indexed = want
+         && List.for_all
+              (fun (u, id) ->
+                let j = Graph.port g v u in
+                (Graph.edge_ids g).(j) = id && (Graph.targets g).(j) = u)
+              want)
+       (List.init n Fun.id)
+
+let prop_csr_builder =
+  QCheck2.Test.make ~name:"of_edge_array CSR = sorted reference" ~count:300
+    ~print:print_simple_graph simple_graph_gen (fun (_, n, arr) ->
+      csr_matches_reference n arr (Graph.of_edge_array ~n arr))
+
+let prop_csr_rejects =
+  QCheck2.Test.make ~name:"of_edge_array rejects one injected fault" ~count:300
+    ~print:print_simple_graph simple_graph_gen (fun (seed, n, arr) ->
+      let rng = Rng.create (seed + 1) in
+      let m = Array.length arr in
+      let node () = if n = 0 then 0 else Rng.int rng n in
+      let fault, want =
+        match Rng.int rng 3 with
+        | 0 when m > 0 ->
+          let a, b, _ = arr.(Rng.int rng m) in
+          let dup = if Rng.bool rng then (a, b, 0) else (b, a, 0) in
+          (dup, "Graph.of_edge_array: duplicate edge")
+        | 1 ->
+          let a = node () in
+          let bad = if Rng.bool rng then -1 - Rng.int rng 3 else n + Rng.int rng 3 in
+          (* with n = 0 the "in-range" endpoint is itself out of range *)
+          let bad = if bad = a then bad + 1 else bad in
+          ((if Rng.bool rng then (a, bad, 0) else (bad, a, 0)),
+           "Graph.of_edge_array: endpoint out of range")
+        | _ ->
+          let a = if Rng.bool rng then node () else n + Rng.int rng 3 in
+          ((a, a, 0), "Graph.of_edge_array: self-loop")
+      in
+      let at = Rng.int rng (m + 1) in
+      let bad =
+        Array.init (m + 1) (fun i ->
+            if i < at then arr.(i) else if i = at then fault else arr.(i - 1))
+      in
+      match Graph.of_edge_array ~n bad with
+      | _ -> false
+      | exception Invalid_argument msg -> msg = want)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -490,6 +594,8 @@ let qcheck_cases =
       prop_tree_rooting;
       prop_diameter_vs_ecc;
       prop_shard_balance;
+      prop_csr_builder;
+      prop_csr_rejects;
     ]
 
 let () =

@@ -61,7 +61,8 @@ let test_small_dom_set_mis () =
         (fun v ->
           if s.dominating.(v) then
             Alcotest.(check bool) (name ^ " outside neighbor") true
-              (Array.exists (fun (u, _) -> not s.dominating.(u)) (Graph.neighbors g v)))
+              (Graph.fold_neighbors g v (fun u _ acc ->
+                acc || not s.dominating.(u)) false))
         (Tree.nodes t))
     (tree_families 1)
 

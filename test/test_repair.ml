@@ -94,7 +94,7 @@ type gossip = { neighbors : int list; best : int; halted : bool }
 let gossip_algorithm g ~rounds : gossip Engine.ealgorithm =
   let einit _g v =
     {
-      neighbors = Array.to_list (Array.map fst (Graph.neighbors g v));
+      neighbors = List.init (Graph.degree g v) (Graph.neighbor g v);
       best = v;
       halted = false;
     }
