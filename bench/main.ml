@@ -765,11 +765,43 @@ let smoke () =
     failwith
       (Printf.sprintf "smoke: Graph.of_edge_array allocates %.1f minor words/edge (> 8)"
          words_per_edge);
+  (* A reused engine owns its arenas, its shard stacks and its
+     multi-domain plan, so a second exec allocates the states array ([n]
+     words) and a constant, at one domain and at two.  [Gc.minor] before
+     each reading flushes the allocation counters, which otherwise lag. *)
+  let eng = Kdom_congest.Engine.create grid in
+  let budget = Graph.n grid + 4096 in
+  let reuse_words =
+    List.map
+      (fun domains ->
+        let run () =
+          ignore
+            (Kdom_congest.Engine.exec_emit ~domains eng
+               (flood_algorithm ~rounds:8))
+        in
+        run ();
+        Gc.minor ();
+        let w0 = (Gc.quick_stat ()).Gc.major_words in
+        run ();
+        Gc.minor ();
+        let words = (Gc.quick_stat ()).Gc.major_words -. w0 in
+        if words > float_of_int budget then
+          failwith
+            (Printf.sprintf
+               "smoke: a reused engine's exec at domains=%d allocates %.0f \
+                major words (> n + 4096 = %d)"
+               domains words budget);
+        (domains, words))
+      [ 1; 2 ]
+  in
   pf "smoke OK: flood %d msgs, token %d rounds, diamdom |D|=%d, CSR build %.2f \
-      minor words/edge@."
+      minor words/edge, reused exec %s major words (budget %d)@."
     r1.er_messages r2.er_rounds
     (List.length (Diam_dom.dominating_list d))
     words_per_edge
+    (String.concat ", "
+       (List.map (fun (d, w) -> Printf.sprintf "d=%d %.0f" d w) reuse_words))
+    budget
 
 (* ------------------------------------------------------------------ *)
 (* SCHED — the sparse event-driven scheduler against the dense schedule
@@ -1473,16 +1505,16 @@ let trace_overhead ~smoke () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* PAR — the sharded multicore executor ([Engine.exec_emit ~domains]) against
-   the sequential engine on large instances.  Every run is asserted
-   bit-identical to the [domains = 1] baseline (states and stats), so the
-   table measures pure executor overhead/scaling, never divergence.
+(* PAR — the executor at several domain counts ([Engine.exec_emit
+   ~domains]) against its domains=1 run on large instances.  Every run is
+   asserted bit-identical to the [domains = 1] baseline (states and
+   stats), so the table measures pure executor overhead/scaling, never
+   divergence.
 
    Honesty note: the JSON records the host's recommended domain count.
-   On a single-core host the sharded executor cannot beat the sequential
-   one — the table then quantifies the barrier + shard bookkeeping
-   overhead, which is exactly what a reader needs to know before turning
-   [~domains] on. *)
+   On a single-core host more domains cannot beat one — the table then
+   quantifies the barrier + shard bookkeeping overhead, which is exactly
+   what a reader needs to know before turning [~domains] on. *)
 
 type par_row = {
   pr_kernel : string;
@@ -1493,7 +1525,7 @@ type par_row = {
   pr_rounds : int;
   pr_messages : int;
   pr_secs : float;
-  pr_speedup : float; (* sequential secs / this run's secs *)
+  pr_speedup : float; (* domains=1 secs / this run's secs *)
   pr_minor : float;
   pr_promoted : float;
 }
@@ -1529,7 +1561,7 @@ let par_case ~kernel ~family ?partition_for g mk =
             if states <> bstates || stats <> bstats then
               failwith
                 (Printf.sprintf
-                   "par bench %s/%s: domains=%d diverges from the sequential \
+                   "par bench %s/%s: domains=%d diverges from the domains=1 \
                     run"
                    kernel family domains);
             bsecs
@@ -1605,7 +1637,7 @@ let par_json rows =
 
 let par_bench () =
   header "PAR  sharded executor scaling"
-    "run ~domains:d is bit-identical to the sequential engine (asserted)";
+    "run ~domains:d is bit-identical to ~domains:1 (asserted)";
   pf "host recommended domains: %d@." (Domain.recommended_domain_count ());
   pf "%-7s %-8s %8s %8s %7s %7s %10s %12s %8s@." "kernel" "family" "n" "m"
     "domains" "rounds" "secs" "ms/round" "speedup";
@@ -1631,7 +1663,7 @@ let par_bench () =
       then
         failwith
           (Printf.sprintf
-             "par bench %s/%s: domains=%d ran at %.2fx vs sequential on a \
+             "par bench %s/%s: domains=%d ran at %.2fx vs domains=1 on a \
               host recommending %d domains"
              r.pr_kernel r.pr_family r.pr_domains r.pr_speedup
              (Domain.recommended_domain_count ())))
@@ -1650,7 +1682,7 @@ let par_bench () =
   pf "@.wrote BENCH_par.json (%d rows)@." (List.length rows)
 
 (* CI pass: small instances, every row still asserted bit-identical to the
-   sequential baseline inside [par_case]. *)
+   domains=1 baseline inside [par_case]. *)
 let par_smoke () =
   let rows = par_rows ~smoke:true () in
   List.iter
@@ -1824,7 +1856,7 @@ let dynamic_bench () =
   close_out oc;
   pf "@.wrote BENCH_dynamic.json (%d rows)@." (List.length rows)
 
-(* CI pass: the reduced sweep, executed sequentially and re-executed on
+(* CI pass: the reduced sweep, executed on 1 domain and re-executed on
    4 domains — totals must agree exactly (the engine's bit-identical
    sharding guarantee, observed end to end through the dynamic layer). *)
 let dynamic_smoke () =
@@ -1843,7 +1875,7 @@ let dynamic_smoke () =
       Engine.default_domains := 4;
       let rows4 = dyn_rows ~smoke:true () in
       if fingerprint rows <> fingerprint rows4 then
-        failwith "dynamic smoke: domains=4 sweep diverges from sequential";
+        failwith "dynamic smoke: domains=4 sweep diverges from domains=1";
       let oc = open_out "BENCH_dynamic.json" in
       output_string oc (dyn_json rows);
       close_out oc;

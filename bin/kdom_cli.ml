@@ -90,12 +90,12 @@ let domains_arg =
     & info [ "domains" ] ~docv:"D"
         ~doc:
           "Run every engine execution on $(docv) OCaml domains (the sharded \
-           multicore executor; bit-identical to the sequential engine).")
+           multicore executor; bit-identical at every domain count).")
 
 (* The composite drivers (FastDOM, FastMST, repair) call [Engine.run_emit]
    internally, so the domain count is threaded through the engine's
    process-wide default rather than through every call site; sound because
-   the sharded executor is observationally identical. *)
+   every domain count is observationally identical. *)
 let set_domains d = Kdom_congest.Engine.default_domains := d
 
 (* ------------------------------------------------------------------ *)

@@ -13,8 +13,8 @@
       the storm back into a reliable network — final states must be
       bit-identical to the fault-free synchronous {!Engine.run_emit}, and the
       per-algorithm oracle must accept them.  The same run cross-checks
-      that the guarded sequential, 4-domain sharded and reference
-      executors agree on the benign network, so the guard word itself is
+      that the guarded engine at 1 and 4 domains and the reference
+      simulator agree on the benign network, so the guard word itself is
       covered by the differential.
     - {e Survived} ({!run_repair}, {!run_serve}): the maintenance
       protocols take the round-time plane head on — permanent churn via
@@ -144,7 +144,7 @@ val run_message :
   ?max_delay:float -> seed:int -> storm:storm -> Graph.t -> case -> verdict
 (** Execute the case's algorithm three ways and require bit-identical
     final states throughout: fault-free synchronous baseline; guarded
-    sequential / 4-domain / reference differential; then the full storm
+    1-domain / 4-domain / reference differential; then the full storm
     under {!Async.run_reliable} ([max_delay] defaults to 1.0).  The
     case's oracle judges the storm states; the corruption tally must
     account for every rejected copy.  Raises {!Diverged} on any
@@ -159,8 +159,8 @@ val run_repair :
   Repair.plan ->
   verdict * Repair.report
 (** Run the {!Repair} maintenance protocol over the storm's churn plane
-    with engine-level corruption, on the sequential, 4-domain sharded and
-    reference executors — states and corruption tallies must be
+    with engine-level corruption, on the engine at 1 and 4 domains and
+    the reference simulator — states and corruption tallies must be
     bit-identical.  Every surviving node must end dominated and
     {!Oracle.eventual_k_domination} must hold over the survivors.
     [beta] defaults to 3, [lease] to 2; the horizon is sized from the

@@ -400,21 +400,91 @@ module Sink = struct
     }
 end
 
-(* One direction of the double buffer: slot-indexed payloads plus the
-   bookkeeping needed to visit and clear only what was touched. *)
+(* One direction of the double buffer, as one shard sees it.  The packed
+   frame arena and the slot- and node-indexed arrays ([data], [wire],
+   [wlog], [count]) are the engine's, shared by every shard of every plan:
+   each cell has one owning shard per phase (the slot's sender while
+   frames are sent, the receiver's shard afterwards).  The written and
+   active stacks and the running totals are the shard's own, so visiting
+   and clearing what a round touched stays shard-local. *)
 type buf = {
   mutable data : Bytes.t; (* packed frame arena, [stride] bytes per slot;
-                             sized lazily at [exec] once max_words is known *)
+                             sized lazily at exec once max_words is known *)
   wire : int array;       (* per slot: wire words of the frame, -1 = empty *)
   wlog : int array;       (* per slot: logical words of the frame *)
-  written : int array;    (* stack of slot ids written this round *)
-  mutable wlen : int;
   count : int array;      (* per node: messages addressed to it *)
-  active : int array;     (* stack of receivers with count > 0 *)
+  written : int array;    (* stack of this shard's in-slots written *)
+  mutable wlen : int;
+  active : int array;     (* stack of this shard's receivers with count > 0 *)
   mutable alen : int;
   mutable total : int;
   mutable words : int;    (* logical words buffered *)
   mutable bits : int;     (* measured wire bits buffered *)
+}
+
+(* Cross-shard frame list for one (src shard, dst shard) pair: appended by
+   the source in stepping order while frames are sent, drained and reset
+   by the destination at the exchange.  The phases are barrier-separated,
+   so the two owners never touch it concurrently.  Only the slot travels:
+   the source encodes the frame straight into the shared arena (every
+   directed slot has a unique sender), and the destination merely learns
+   which slots arrived. *)
+type xarena = {
+  mutable x_slot : int array;
+  mutable x_len : int;
+}
+
+type shard = {
+  sh_live : int array;   (* owned live nodes, ascending *)
+  mutable sh_live_len : int;
+  sh_frontier : int array;
+  sh_always : int array; (* owned nodes in Always mode, ascending when clean *)
+  mutable sh_alen : int;
+  mutable sh_buckets : int list array;  (* sh_buckets.(r) = nodes to wake at r *)
+  sh_ib : Inbox.t;       (* reusable inbox, sized for the shard's max in-degree *)
+  sh_a : buf;
+  sh_b : buf;
+  mutable sh_recv : buf; (* delivery side of the current round *)
+  mutable sh_send : buf; (* send side of the current round *)
+  (* per-round outputs of the step phase *)
+  mutable sh_stepped : int;
+  mutable sh_woken : int;
+  mutable sh_receivers : int;
+  mutable sh_delivered_words : int;
+  mutable sh_delivered_bits : int;
+  mutable sh_send_dropped : int;
+  mutable sh_hinted : bool;
+  mutable sh_vmin : int;  (* halted-receiver candidate for the next round *)
+  (* control flags written serially / by the owner *)
+  mutable sh_crashed_live : int;
+  mutable sh_compact : bool;
+  mutable sh_hit : bool;  (* an in-flight frame to this shard was dropped *)
+  mutable sh_always_dirty : bool;
+  mutable sh_always_unsorted : bool;
+  (* first violation: node, priority (0 halted < 1 send), exception *)
+  mutable sh_vnode : int;
+  mutable sh_vprio : int;
+  mutable sh_vexn : exn option;
+  (* deferred on_message events, (src, dst, words), src-ascending; a
+     single shard dispatches inline and never fills them *)
+  mutable sh_ev_src : int array;
+  mutable sh_ev_dst : int array;
+  mutable sh_ev_w : int array;
+  mutable sh_ev_len : int;
+  sh_em : Emit.t;
+}
+
+(* A node-to-shard assignment with its shards.  Shard 0 of every plan is
+   the engine's home shard; the others are built on first use. *)
+type plan = {
+  p_domains : int;
+  p_default : bool;        (* contiguous ranges, no caller partition *)
+  (* With one shard every node is its own shard's and both node maps stay
+     empty; the executor never reads them then. *)
+  p_shard_of : int array;  (* a copy: the caller may reuse its array *)
+  p_local : Bytes.t;       (* '\001' iff every neighbor of v shares v's shard *)
+  p_shards : shard array;
+  p_xas : xarena array array;  (* p_xas.(src).(dst) *)
 }
 
 type t = {
@@ -429,20 +499,15 @@ type t = {
   out_off : int array;  (* n+1: Graph.offsets g *)
   out_dst : int array;  (* 2m: Graph.targets g, strictly ascending per source *)
   rev_slot : int array; (* 2m: slot of the reverse direction of each slot *)
-  buf_a : buf;
-  buf_b : buf;
-  live : int array;     (* scratch: live node ids, ascending *)
+  (* per-node schedule state, shared by the shards (one owner per node) *)
   is_live : bool array;
-  (* activation frontier: the nodes stepped in the current round *)
-  frontier : int array;
-  fstamp : int array;   (* fstamp.(v) = r  <=>  v already in round r's frontier *)
   is_always : bool array;
-  always : int array;   (* nodes in Always mode, ascending when clean *)
   wake_at : int array;  (* pending timer round per node, -1 = none *)
-  mutable buckets : int list array;  (* buckets.(r) = nodes to wake at round r *)
-  ib : Inbox.t;         (* reusable inbox arena, sized for the max in-degree *)
+  fstamp : int array;   (* fstamp.(v) = r  <=>  v already in round r's frontier *)
+  home : plan;          (* one domain: the single shard owns every node *)
+  mutable wide : plan option;  (* the last plan used with more domains *)
   mutable running : bool;
-  mutable dirty : bool;
+  mutable dirty : bool; (* an exec aborted mid-round: scrub the arenas *)
 }
 
 let make_buf ~n ~ports =
@@ -450,9 +515,9 @@ let make_buf ~n ~ports =
     data = Bytes.empty;
     wire = Array.make (max 1 ports) (-1);
     wlog = Array.make (max 1 ports) 0;
+    count = Array.make (max 1 n) 0;
     written = Array.make (max 1 ports) 0;
     wlen = 0;
-    count = Array.make (max 1 n) 0;
     active = Array.make (max 1 n) 0;
     alen = 0;
     total = 0;
@@ -470,6 +535,63 @@ let stride_for ?(guard = false) ~max_words () =
 let ensure_arena buf ~ports ~stride =
   let need = max 2 (ports * stride) in
   if Bytes.length buf.data < need then buf.data <- Bytes.create need
+
+(* [cap] bounds the shard's node count, [indeg] its max in-degree.  The
+   deferred in-port scan behind [Inbox.ensure] walks the receiver's
+   segment forward, so the inbox comes out sender-ascending. *)
+let make_shard ~out_off ~out_dst ~rev_slot ~cap ~indeg a b =
+  let ib = Inbox.create ~cap:(max 1 indeg) () in
+  let sh =
+    {
+      sh_live = Array.make cap 0;
+      sh_live_len = 0;
+      sh_frontier = Array.make cap 0;
+      sh_always = Array.make cap 0;
+      sh_alen = 0;
+      sh_buckets = Array.make 16 [];
+      sh_ib = ib;
+      sh_a = a;
+      sh_b = b;
+      sh_recv = b;
+      sh_send = a;
+      sh_stepped = 0;
+      sh_woken = 0;
+      sh_receivers = 0;
+      sh_delivered_words = 0;
+      sh_delivered_bits = 0;
+      sh_send_dropped = 0;
+      sh_hinted = false;
+      sh_vmin = -1;
+      sh_crashed_live = 0;
+      sh_compact = false;
+      sh_hit = false;
+      sh_always_dirty = false;
+      sh_always_unsorted = false;
+      sh_vnode = -1;
+      sh_vprio = 0;
+      sh_vexn = None;
+      sh_ev_src = [||];
+      sh_ev_dst = [||];
+      sh_ev_w = [||];
+      sh_ev_len = 0;
+      sh_em = Emit.make ();
+    }
+  in
+  ib.Inbox.filler <-
+    (fun ib ->
+      let v = ib.Inbox.fill_node in
+      ib.Inbox.fill_node <- -1;
+      let dv = sh.sh_recv in
+      if dv.count.(v) > 0 then
+        for j = out_off.(v) to out_off.(v + 1) - 1 do
+          let slot = rev_slot.(j) in
+          if dv.wire.(slot) >= 0 then begin
+            ib.Inbox.src.(ib.Inbox.len) <- out_dst.(j);
+            ib.Inbox.slot.(ib.Inbox.len) <- slot;
+            ib.Inbox.len <- ib.Inbox.len + 1
+          end
+        done);
+  sh
 
 let create g =
   let n = Graph.n g in
@@ -489,6 +611,10 @@ let create g =
       next.(u) <- next.(u) + 1
     done
   done;
+  let home_shard =
+    make_shard ~out_off ~out_dst ~rev_slot ~cap:(max 1 n) ~indeg:!max_indeg
+      (make_buf ~n ~ports) (make_buf ~n ~ports)
+  in
   {
     g;
     n;
@@ -496,17 +622,20 @@ let create g =
     out_off;
     out_dst;
     rev_slot;
-    buf_a = make_buf ~n ~ports;
-    buf_b = make_buf ~n ~ports;
-    live = Array.make (max 1 n) 0;
     is_live = Array.make (max 1 n) false;
-    frontier = Array.make (max 1 n) 0;
-    fstamp = Array.make (max 1 n) (-1);
     is_always = Array.make (max 1 n) false;
-    always = Array.make (max 1 n) 0;
     wake_at = Array.make (max 1 n) (-1);
-    buckets = Array.make 16 [];
-    ib = Inbox.create ~cap:!max_indeg ();
+    fstamp = Array.make (max 1 n) (-1);
+    home =
+      {
+        p_domains = 1;
+        p_default = true;
+        p_shard_of = [||];
+        p_local = Bytes.empty;
+        p_shards = [| home_shard |];
+        p_xas = [| [| { x_slot = [||]; x_len = 0 } |] |];
+      };
+    wide = None;
     running = false;
     dirty = false;
   }
@@ -735,7 +864,7 @@ end
    flight are garbled (bursts of bit flips on the packed wire words) or
    truncated, and every decision is a pure hash of (cseed, delivery
    round, slot, lane): the verdict for a frame does not depend on
-   iteration order, so the sequential, emit, sharded and reference paths
+   iteration order, so the engine at every domain count and the reference
    corrupt — and drop — exactly the same frames.  Enabling corruption
    forces the codec guard word onto every frame; the delivery pass
    verifies each garbled frame and kills what the guard catches, so
@@ -825,14 +954,174 @@ module Corrupt = struct
     if m = 0 then 1 else m
 end
 
-let reset_buf b =
-  Array.fill b.wire 0 (Array.length b.wire) (-1);
-  Array.fill b.count 0 (Array.length b.count) 0;
+(* ------------------------------------------------------------------ *)
+(* Execution: the node set is partitioned into [d] shards stepped on [d]
+   OCaml 5 domains (the calling domain included); one domain is the
+   one-shard case of the same loop.  The round structure is
+
+     serial: buffer swap, churn and corruption, halted-receiver minimum
+     parallel step phase: each shard steps its own frontier in ascending
+       node id; frames to its own nodes land directly in its send buffer,
+       frames to other shards are appended to a per-(src-shard,
+       dst-shard) list
+     serial: violation resolution, deferred sink dispatch
+     parallel exchange phase: each destination shard drains the lists
+       addressed to it in src-shard order
+     serial: round record
+
+   Determinism does not depend on scheduling: every mutable cell is owned
+   by exactly one shard within a phase (slots by their sender while
+   frames are sent, by the receiver's shard afterwards; node state by the
+   owner), the cross-shard lists are filled in each source's
+   deterministic stepping order and drained in fixed src-shard order, and
+   the buffers are slot-indexed so final contents are independent of
+   drain interleaving.  With several shards, sink callbacks are deferred
+   to the barrier and replayed in ascending source id, the order one
+   shard emits them in, so instrumented runs are identical at every
+   domain count.
+
+   Violations cannot abort mid-phase without racing the other shards, so
+   each shard records its first violation (the node it fired at, plus a
+   priority bit ordering the halted-receiver check before the send checks
+   at the same node) and stops stepping; the barrier re-raises the
+   lexicographically smallest one, which is the violation a single
+   ascending sweep hits first. *)
+
+exception Stop_shard
+
+let contiguous_partition ~n ~shards =
+  let shard_of = Array.make (max 1 n) 0 in
+  for s = 0 to shards - 1 do
+    for v = s * n / shards to ((s + 1) * n / shards) - 1 do
+      shard_of.(v) <- s
+    done
+  done;
+  shard_of
+
+(* A plan for [d > 1] shards.  Shard 0 is the home shard, whose stacks are
+   sized for the whole graph and so fit any node set; the others get
+   stacks sized for their own nodes and in-ports (every slot written for
+   a shard delivers to one of its nodes) over the engine's shared
+   arenas. *)
+let build_plan e ~d ~default shard_of =
+  let sizes = Array.make d 0 in
+  let inports = Array.make d 0 in
+  let max_indeg = Array.make d 0 in
+  let local = Bytes.make (max 1 e.n) '\001' in
+  for v = 0 to e.n - 1 do
+    let s = shard_of.(v) in
+    sizes.(s) <- sizes.(s) + 1;
+    let indeg = e.out_off.(v + 1) - e.out_off.(v) in
+    inports.(s) <- inports.(s) + indeg;
+    if indeg > max_indeg.(s) then max_indeg.(s) <- indeg;
+    for j = e.out_off.(v) to e.out_off.(v + 1) - 1 do
+      if shard_of.(e.out_dst.(j)) <> s then Bytes.set local v '\000'
+    done
+  done;
+  let home = e.home.p_shards.(0) in
+  let view (b : buf) ~wcap ~cap =
+    {
+      b with
+      written = Array.make wcap 0;
+      wlen = 0;
+      active = Array.make cap 0;
+      alen = 0;
+      total = 0;
+      words = 0;
+      bits = 0;
+    }
+  in
+  let shards =
+    Array.init d (fun s ->
+        if s = 0 then home
+        else begin
+          let cap = max 1 sizes.(s) and wcap = max 1 inports.(s) in
+          make_shard ~out_off:e.out_off ~out_dst:e.out_dst
+            ~rev_slot:e.rev_slot ~cap ~indeg:max_indeg.(s)
+            (view home.sh_a ~wcap ~cap) (view home.sh_b ~wcap ~cap)
+        end)
+  in
+  {
+    p_domains = d;
+    p_default = default;
+    p_shard_of = shard_of;
+    p_local = local;
+    p_shards = shards;
+    p_xas =
+      Array.init d (fun _ -> Array.init d (fun _ -> { x_slot = [||]; x_len = 0 }));
+  }
+
+(* The partition is checked against the requested domain count before
+   anything is clamped; the shard count is then the highest shard id in
+   use plus one (without a partition, [domains] clamped to [n]).  The
+   last multi-shard plan is kept, so a reused engine builds it once. *)
+let plan_for e ~domains partition =
+  let n = e.n in
+  let d =
+    match partition with
+    | None -> max 1 (min domains n)
+    | Some p ->
+      if Array.length p <> n then
+        invalid_arg "Engine.exec: partition length differs from node count";
+      let top = ref 0 in
+      Array.iter
+        (fun s ->
+          if s < 0 || s >= domains then
+            invalid_arg "Engine.exec: partition shard id out of range";
+          if s > !top then top := s)
+        p;
+      !top + 1
+  in
+  if d = 1 then e.home
+  else
+    match e.wide with
+    | Some pl
+      when pl.p_domains = d
+           &&
+           match partition with
+           | None -> pl.p_default
+           | Some p -> (not pl.p_default) && pl.p_shard_of = p ->
+      pl
+    | _ ->
+      let pl =
+        match partition with
+        | None ->
+          build_plan e ~d ~default:true (contiguous_partition ~n ~shards:d)
+        | Some p -> build_plan e ~d ~default:false (Array.copy p)
+      in
+      e.wide <- Some pl;
+      pl
+
+let reset_buf b data =
+  b.data <- data;
   b.wlen <- 0;
   b.alen <- 0;
   b.total <- 0;
   b.words <- 0;
   b.bits <- 0
+
+(* Per-run shard state back to its initial values; what an aborted run
+   left behind is dropped here. *)
+let reset_shard sh ~data_a ~data_b =
+  reset_buf sh.sh_a data_a;
+  reset_buf sh.sh_b data_b;
+  sh.sh_recv <- sh.sh_b;
+  sh.sh_send <- sh.sh_a;
+  sh.sh_live_len <- 0;
+  sh.sh_alen <- 0;
+  Array.fill sh.sh_buckets 0 (Array.length sh.sh_buckets) [];
+  sh.sh_vmin <- -1;
+  sh.sh_crashed_live <- 0;
+  sh.sh_compact <- false;
+  sh.sh_hit <- false;
+  sh.sh_always_dirty <- false;
+  sh.sh_always_unsorted <- false;
+  sh.sh_vnode <- -1;
+  sh.sh_vprio <- 0;
+  sh.sh_vexn <- None;
+  sh.sh_ev_len <- 0;
+  sh.sh_em.Emit.eopen <- false;
+  sh.sh_ib.Inbox.fill_node <- -1
 
 (* In-place heapsort of [a.(0) .. a.(len-1)]: the frontier must be stepped
    in ascending node id (the reference's visiting order), and its three
@@ -870,1001 +1159,39 @@ let sort_prefix a len =
     done
   end
 
-let exec_unguarded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
-    ?churn ?(guard = false) ?corrupt e algo =
+let exec_rounds ~max_rounds ~max_words ~sink ~degrade ~churn ~guard ~corrupt e
+    plan algo =
   let n = e.n in
   let g = e.g in
-  (match churn with
-  | Some (c : Churn.t) ->
-    if Array.length c.Churn.crashed <> max 1 n
-       || Array.length c.Churn.edge_down <> max 1 e.ports
-    then invalid_arg "Engine.exec: churn compiled against a different engine";
-    Churn.reset c
-  | None -> ());
-  (match corrupt with
-  | Some (cs : Corrupt.spec) ->
-    Corrupt.validate cs;
-    cs.Corrupt.tally.Corrupt.injected <- 0;
-    cs.Corrupt.tally.Corrupt.detected <- 0;
-    cs.Corrupt.tally.Corrupt.truncated <- 0
-  | None -> ());
-  (* corruption is only detectable with the guard word on every frame *)
-  let guard = guard || corrupt <> None in
-  let max_rounds =
-    match max_rounds with Some r -> r | None -> default_max_rounds n
-  in
-  let max_words =
-    match max_words with Some w -> w | None -> default_max_words n
-  in
-  if e.dirty then begin
-    (* a previous run aborted mid-round (violation / limit); scrub *)
-    reset_buf e.buf_a;
-    reset_buf e.buf_b
-  end;
+  let shards = plan.p_shards and d = plan.p_domains in
+  let shard_of = plan.p_shard_of and local = plan.p_local and xas = plan.p_xas in
+  let solo = d = 1 in
+  let home = shards.(0) in
+  let shard_for v = if solo then home else shards.(shard_of.(v)) in
   let stride = stride_for ~guard ~max_words () in
-  ensure_arena e.buf_a ~ports:e.ports ~stride;
-  ensure_arena e.buf_b ~ports:e.ports ~stride;
+  ensure_arena home.sh_a ~ports:e.ports ~stride;
+  ensure_arena home.sh_b ~ports:e.ports ~stride;
+  if e.dirty then
+    (* a previous run aborted mid-round (violation / limit): the frames
+       and counts it left in the shared arrays must not leak into this
+       one *)
+    List.iter
+      (fun b ->
+        Array.fill b.wire 0 (Array.length b.wire) (-1);
+        Array.fill b.count 0 (Array.length b.count) 0)
+      [ home.sh_a; home.sh_b ];
+  Array.iter
+    (fun sh -> reset_shard sh ~data_a:home.sh_a.data ~data_b:home.sh_b.data)
+    shards;
+  Array.iter (Array.iter (fun xa -> xa.x_len <- 0)) xas;
   e.running <- true;
   e.dirty <- true;
   let a_halted = algo.ehalted and a_wake = algo.ewake in
   let states = Array.init n (fun v -> algo.einit g v) in
-  (* Hoisted churn views: the empty arrays are never indexed (short-circuit
-     on [churn_on]), so the no-churn send path costs one extra branch. *)
-  let churn_edge_down, churn_crashed, churn_dormant =
-    match churn with
-    | Some (c : Churn.t) ->
-      (c.Churn.edge_down, c.Churn.crashed, c.Churn.dormant)
-    | None -> ([||], [||], [||])
-  in
-  let churn_on = churn <> None in
-  let live = e.live and is_live = e.is_live in
-  let live_len = ref 0 in
-  for v = 0 to n - 1 do
-    if a_halted states.(v) || (churn_on && churn_dormant.(v)) then
-      is_live.(v) <- false
-    else begin
-      is_live.(v) <- true;
-      live.(!live_len) <- v;
-      incr live_len
-    end
-  done;
-  (* Frontier state.  Every node starts in Always mode: hints are consulted
-     only after a step, and round 0 (the init round) steps every live node
-     regardless.  [hinted] stays false — and the engine stays on the dense
-     legacy path, byte-for-byte — until some step returns a non-Always
-     hint. *)
-  Array.fill e.fstamp 0 (max 1 n) (-1);
-  Array.fill e.wake_at 0 (max 1 n) (-1);
-  for v = 0 to n - 1 do
-    e.is_always.(v) <- is_live.(v)
-  done;
-  Array.fill e.buckets 0 (Array.length e.buckets) [];
-  let alen = ref 0 in
-  let hinted = ref false in
-  let transition = ref false in
-  let always_dirty = ref false in
-  let always_unsorted = ref false in
-  let schedule v k =
-    e.wake_at.(v) <- k;
-    let len = Array.length e.buckets in
-    if k >= len then begin
-      let b = Array.make (max (k + 1) (2 * len)) [] in
-      Array.blit e.buckets 0 b 0 len;
-      e.buckets <- b
-    end;
-    e.buckets.(k) <- v :: e.buckets.(k)
-  in
-  let apply_wake v st r =
-    match a_wake st with
-    | Always ->
-      if not e.is_always.(v) then begin
-        e.is_always.(v) <- true;
-        e.always.(!alen) <- v;
-        incr alen;
-        always_unsorted := true
-      end;
-      e.wake_at.(v) <- -1
-    | hint ->
-      if not !hinted then begin
-        hinted := true;
-        transition := true
-      end;
-      if e.is_always.(v) then begin
-        e.is_always.(v) <- false;
-        always_dirty := true
-      end;
-      (match hint with
-      | Next -> schedule v (r + 1)
-      | At k -> if k > r then schedule v k else e.wake_at.(v) <- -1
-      | OnMessage -> e.wake_at.(v) <- -1
-      | Always -> assert false)
-  in
-  let cur = ref e.buf_a and nxt = ref e.buf_b in
-  let messages = ref 0 and max_inflight = ref 0 and round = ref 0 in
-  let instrumented = sink != Sink.null in
-  (* Hoisted out of the round loop so the emitter closures (created once
-     per exec) can account churn-dropped frames; reset every round. *)
-  let churn_dropped = ref 0 in
-  (* The send path: one reusable emitter whose start/commit write the
-     frame straight into the send arena.  [start] checks, in order,
-     non-neighbor, churn-dead and duplicate edge; width is enforced by the
-     writer budget as the frame is built; [commit] publishes the slot and
-     bumps the counters. *)
-  let em = Emit.make () in
-  begin
-    em.Emit.estart <-
-      (fun t u ->
-        if t.Emit.eopen then
-          invalid_arg "Engine.Emit.start: frame already open";
-        let v = t.Emit.enode in
-        let slot = find_port e ~src:v ~dst:u in
-        if slot < 0 then
-          raise
-            (Congestion_violation
-               (Printf.sprintf "round %d: node %d sent to non-neighbor %d"
-                  !round v u));
-        let sd = !nxt in
-        if
-          churn_on
-          && (churn_edge_down.(slot) || churn_crashed.(u)
-             || churn_dormant.(u))
-        then
-          (* frame onto a dead port or to a crashed node: build it (the
-             width budget still applies) but never publish the slot *)
-          t.Emit.edead <- true
-        else begin
-          if sd.wire.(slot) >= 0 then
-            raise
-              (Congestion_violation
-                 (Printf.sprintf "round %d: node %d sent twice over edge to %d"
-                    !round v u));
-          t.Emit.edead <- false
-        end;
-        t.Emit.edst <- u;
-        t.Emit.eslot <- slot;
-        t.Emit.eopen <- true;
-        Codec.attach_writer ~guard t.Emit.ew sd.data ~base:(slot * stride)
-          ~budget:max_words;
-        t.Emit.ew);
-    em.Emit.ecommit <-
-      (fun t ->
-        if not t.Emit.eopen then
-          invalid_arg "Engine.Emit.commit: no open frame";
-        t.Emit.eopen <- false;
-        if t.Emit.edead then incr churn_dropped
-        else begin
-          let sd = !nxt in
-          let slot = t.Emit.eslot and u = t.Emit.edst in
-          let w = Codec.words t.Emit.ew and wire = Codec.seal t.Emit.ew in
-          sd.wire.(slot) <- wire;
-          sd.wlog.(slot) <- w;
-          sd.written.(sd.wlen) <- slot;
-          sd.wlen <- sd.wlen + 1;
-          if sd.count.(u) = 0 then begin
-            sd.active.(sd.alen) <- u;
-            sd.alen <- sd.alen + 1
-          end;
-          sd.count.(u) <- sd.count.(u) + 1;
-          sd.total <- sd.total + 1;
-          sd.words <- sd.words + w;
-          sd.bits <- sd.bits + (word_bits * wire);
-          if instrumented then
-            sink.on_message ~round:!round ~src:t.Emit.enode ~dst:u ~words:w
-        end);
-    (* Broadcast fast path: encode the one-word frame once into a scratch
-       region, then walk the node's contiguous out-port segment directly —
-       no per-neighbor binary search, no per-frame start/commit pair.
-       Totals are batched after the churn-free loop; the churn loop keeps
-       per-slot accounting because dropped ports send nothing. *)
-    let bscratch =
-      Bytes.create (2 * (Codec.max_wire_words + Codec.guard_words))
-    in
-    (* Broadcast memo: consecutive [broadcast1] calls with the same value
-       re-use the encoded scratch frame, so a flood round encodes (and
-       CRCs, when the guard is on) once instead of n times.  Nothing else
-       writes [bscratch], so the memo never goes stale. *)
-    let bmemo_live = ref false and bmemo_a = ref 0 and bmemo_wire = ref 0 in
-    em.Emit.ebroadcast1 <-
-      (fun t a ->
-        if t.Emit.eopen then
-          invalid_arg "Engine.Emit.broadcast1: frame already open";
-        let v = t.Emit.enode in
-        if max_words < 1 then
-          raise
-            (Congestion_violation
-               (Printf.sprintf
-                  "round %d: node %d payload of %d words exceeds %d" !round v
-                  1 max_words));
-        let wire =
-          if !bmemo_live && !bmemo_a = a then !bmemo_wire
-          else begin
-            let w =
-              if guard then Codec.encode1_guarded bscratch ~base:0 a
-              else Codec.encode1 bscratch ~base:0 a
-            in
-            bmemo_live := true;
-            bmemo_a := a;
-            bmemo_wire := w;
-            w
-          end
-        in
-        let sd = !nxt in
-        let first = e.out_off.(v) and stop = e.out_off.(v + 1) in
-        if not churn_on then begin
-          (* arrays hoisted into locals: without flambda every
-             [sd.field.(slot)] reloads the field inside the loop *)
-          let data = sd.data
-          and swire = sd.wire
-          and swlog = sd.wlog
-          and written = sd.written
-          and count = sd.count
-          and active = sd.active
-          and out_dst = e.out_dst in
-          (* every slot of the range is written, so the [written] cursor
-             is [wbase + slot] — no loop-carried ref (a ref would be a
-             per-step allocation on the zero-alloc path) *)
-          let wbase = sd.wlen - first in
-          if wire = 1 && not instrumented then begin
-            (* the lean loop: a small value on an uninstrumented run is
-               one u16 store plus the minimum bookkeeping *)
-            let g = Bytes.get_uint16_le bscratch 0 in
-            for slot = first to stop - 1 do
-              let u = out_dst.(slot) in
-              if swire.(slot) >= 0 then
-                raise
-                  (Congestion_violation
-                     (Printf.sprintf
-                        "round %d: node %d sent twice over edge to %d" !round
-                        v u));
-              Bytes.set_uint16_le data (slot * stride) g;
-              swire.(slot) <- 1;
-              swlog.(slot) <- 1;
-              written.(wbase + slot) <- slot;
-              let c = count.(u) in
-              if c = 0 then begin
-                active.(sd.alen) <- u;
-                sd.alen <- sd.alen + 1
-              end;
-              count.(u) <- c + 1
-            done
-          end
-          else if wire = 2 && not instrumented then begin
-            (* guarded lean loop: a one-word value plus its CRC guard
-               word is exactly one 32-bit store — the stride is always
-               at least [2 * max_wire_words] bytes, so the wide store
-               stays inside the slot's frame region *)
-            let g = Bytes.get_int32_le bscratch 0 in
-            for slot = first to stop - 1 do
-              let u = out_dst.(slot) in
-              if swire.(slot) >= 0 then
-                raise
-                  (Congestion_violation
-                     (Printf.sprintf
-                        "round %d: node %d sent twice over edge to %d" !round
-                        v u));
-              Bytes.set_int32_le data (slot * stride) g;
-              swire.(slot) <- 2;
-              swlog.(slot) <- 1;
-              written.(wbase + slot) <- slot;
-              let c = count.(u) in
-              if c = 0 then begin
-                active.(sd.alen) <- u;
-                sd.alen <- sd.alen + 1
-              end;
-              count.(u) <- c + 1
-            done
-          end
-          else
-            for slot = first to stop - 1 do
-              let u = out_dst.(slot) in
-              if swire.(slot) >= 0 then
-                raise
-                  (Congestion_violation
-                     (Printf.sprintf
-                        "round %d: node %d sent twice over edge to %d" !round
-                        v u));
-              if wire = 1 then
-                Bytes.set_uint16_le data (slot * stride)
-                  (Bytes.get_uint16_le bscratch 0)
-              else Bytes.blit bscratch 0 data (slot * stride) (2 * wire);
-              swire.(slot) <- wire;
-              swlog.(slot) <- 1;
-              written.(wbase + slot) <- slot;
-              let c = count.(u) in
-              if c = 0 then begin
-                active.(sd.alen) <- u;
-                sd.alen <- sd.alen + 1
-              end;
-              count.(u) <- c + 1;
-              if instrumented then
-                sink.on_message ~round:!round ~src:v ~dst:u ~words:1
-            done;
-          let sent = stop - first in
-          sd.wlen <- sd.wlen + sent;
-          sd.total <- sd.total + sent;
-          sd.words <- sd.words + sent;
-          sd.bits <- sd.bits + (word_bits * wire * sent)
-        end
-        else
-          for slot = first to stop - 1 do
-            let u = e.out_dst.(slot) in
-            if
-              churn_edge_down.(slot) || churn_crashed.(u)
-              || churn_dormant.(u)
-            then incr churn_dropped
-            else begin
-              if sd.wire.(slot) >= 0 then
-                raise
-                  (Congestion_violation
-                     (Printf.sprintf
-                        "round %d: node %d sent twice over edge to %d" !round
-                        v u));
-              Bytes.blit bscratch 0 sd.data (slot * stride) (2 * wire);
-              sd.wire.(slot) <- wire;
-              sd.wlog.(slot) <- 1;
-              sd.written.(sd.wlen) <- slot;
-              sd.wlen <- sd.wlen + 1;
-              if sd.count.(u) = 0 then begin
-                sd.active.(sd.alen) <- u;
-                sd.alen <- sd.alen + 1
-              end;
-              sd.count.(u) <- sd.count.(u) + 1;
-              sd.total <- sd.total + 1;
-              sd.words <- sd.words + 1;
-              sd.bits <- sd.bits + (word_bits * wire);
-              if instrumented then
-                sink.on_message ~round:!round ~src:v ~dst:u ~words:1
-            end
-          done)
-  end;
-  (* The deferred in-port scan behind [Inbox.ensure]: forward order is
-     sender-ascending, preserving the inbox ordering guarantee.  [!cur]
-     is the delivery side for the round being stepped. *)
-  e.ib.Inbox.filler <-
-    (fun ib ->
-      let v = ib.Inbox.fill_node in
-      ib.Inbox.fill_node <- -1;
-      let dv = !cur in
-      if dv.count.(v) > 0 then
-        for j = e.out_off.(v) to e.out_off.(v + 1) - 1 do
-          let slot = e.rev_slot.(j) in
-          if dv.wire.(slot) >= 0 then begin
-            ib.Inbox.src.(ib.Inbox.len) <- e.out_dst.(j);
-            ib.Inbox.slot.(ib.Inbox.len) <- slot;
-            ib.Inbox.len <- ib.Inbox.len + 1
-          end
-        done);
-  while !live_len > 0 || (!nxt).total > 0 do
-    if !round > max_rounds then raise (Round_limit_exceeded !round);
-    let tmp = !cur in
-    cur := !nxt;
-    nxt := tmp;
-    let dv = !cur and sd = !nxt in
-    Inbox.attach e.ib ~data:dv.data ~wire:dv.wire ~wlog:dv.wlog ~stride;
-    let r = !round in
-    (* Apply the churn events due this round before anything is delivered:
-       a node crashing at round r does not execute round r and the frames
-       already in flight to it (sent at r-1) are lost; an edge going down
-       at round r loses the frame it was carrying.  Frames a node sent
-       before its crash are still delivered — the crash kills the
-       processor, not the wires. *)
-    churn_dropped := 0;
-    let newly_crashed = ref 0 in
-    let newly_arrived = ref 0 in
-    let newly_departed = ref 0 in
-    let newly_inserted = ref 0 in
-    let crashed_live = ref 0 in
-    let churn_killed = ref false in
-    let live_unsorted = ref false in
-    (match churn with
-    | Some c ->
-      let len = Array.length c.Churn.ops in
-      let kill v =
-        if dv.count.(v) > 0 then begin
-          for j = e.out_off.(v) to e.out_off.(v + 1) - 1 do
-            let slot = e.rev_slot.(j) in
-            let wv = dv.wire.(slot) in
-            if wv >= 0 then begin
-              dv.wire.(slot) <- -1;
-              dv.total <- dv.total - 1;
-              dv.words <- dv.words - dv.wlog.(slot);
-              dv.bits <- dv.bits - (word_bits * wv);
-              incr churn_dropped
-            end
-          done;
-          dv.count.(v) <- 0
-        end;
-        if is_live.(v) then begin
-          is_live.(v) <- false;
-          incr crashed_live;
-          churn_killed := true;
-          if e.is_always.(v) then begin
-            e.is_always.(v) <- false;
-            always_dirty := true
-          end;
-          e.wake_at.(v) <- -1
-        end
-      in
-      while
-        c.Churn.cursor < len
-        && Churn.round_of c.Churn.events.(c.Churn.cursor) <= r
-      do
-        (match c.Churn.ops.(c.Churn.cursor) with
-        | Churn.Op_crash v ->
-          if not c.Churn.crashed.(v) then begin
-            c.Churn.crashed.(v) <- true;
-            incr newly_crashed;
-            kill v
-          end
-        | Churn.Op_depart v ->
-          (* a graceful departure is mechanically a fail-stop — the node
-             leaves without ceremony — but accounted separately *)
-          if not c.Churn.crashed.(v) then begin
-            c.Churn.crashed.(v) <- true;
-            incr newly_departed;
-            kill v
-          end
-        | Churn.Op_arrive v ->
-          if c.Churn.dormant.(v) then begin
-            c.Churn.dormant.(v) <- false;
-            incr newly_arrived;
-            if (not c.Churn.crashed.(v)) && not (a_halted states.(v))
-            then begin
-              is_live.(v) <- true;
-              live.(!live_len) <- v;
-              incr live_len;
-              live_unsorted := true;
-              (* the arrival round steps the node unconditionally, like the
-                 init round steps every live node: it enters Always mode
-                 until its own first hint says otherwise *)
-              e.is_always.(v) <- true;
-              if !hinted then begin
-                e.always.(!alen) <- v;
-                incr alen;
-                always_unsorted := true
-              end
-            end
-          end
-        | Churn.Op_down slot ->
-          if not c.Churn.edge_down.(slot) then begin
-            c.Churn.edge_down.(slot) <- true;
-            let wv = dv.wire.(slot) in
-            if wv >= 0 then begin
-              dv.wire.(slot) <- -1;
-              dv.total <- dv.total - 1;
-              dv.words <- dv.words - dv.wlog.(slot);
-              dv.bits <- dv.bits - (word_bits * wv);
-              dv.count.(e.out_dst.(slot)) <- dv.count.(e.out_dst.(slot)) - 1;
-              incr churn_dropped
-            end
-          end
-        | Churn.Op_add slot ->
-          (* reserved capacity coming online: the slot was pre-downed at
-             reset, nothing can be in flight through it *)
-          if c.Churn.edge_down.(slot) then begin
-            c.Churn.edge_down.(slot) <- false;
-            incr newly_inserted
-          end
-        | Churn.Op_up slot -> c.Churn.edge_down.(slot) <- false);
-        c.Churn.cursor <- c.Churn.cursor + 1
-      done;
-      if !live_unsorted then sort_prefix live !live_len
-    | None -> ());
-    (* Deterministic wire corruption: a serial pass over the delivery-side
-       written stack, after churn (a frame churn killed cannot also be
-       corrupted) and before the halted-receiver minimum (a corrupted
-       frame to a halted node is dropped, never delivered).  Every
-       decision is a pure (cseed, round, slot, lane) hash, so the pass is
-       iteration-order-free. *)
-    let corrupt_dropped = ref 0 in
-    (match corrupt with
-    | Some (cs : Corrupt.spec) ->
-      let inten = Corrupt.intensity cs ~round:r in
-      let fthr = Corrupt.threshold (cs.Corrupt.flip *. inten) in
-      let tthr = Corrupt.threshold (cs.Corrupt.truncate *. inten) in
-      if fthr > 0 || tthr > 0 then begin
-        let cseed = cs.Corrupt.cseed and burst = cs.Corrupt.burst in
-        let tally = cs.Corrupt.tally in
-        for j = 0 to dv.wlen - 1 do
-          let slot = dv.written.(j) in
-          let wv = dv.wire.(slot) in
-          if wv >= 0 then begin
-            let kill () =
-              dv.wire.(slot) <- -1;
-              dv.total <- dv.total - 1;
-              dv.words <- dv.words - dv.wlog.(slot);
-              dv.bits <- dv.bits - (word_bits * wv);
-              dv.count.(e.out_dst.(slot)) <- dv.count.(e.out_dst.(slot)) - 1;
-              incr corrupt_dropped
-            in
-            let h0 = Corrupt.decide ~cseed ~round:r ~slot ~lane:0 in
-            if tthr > 0 && Corrupt.hit h0 tthr && wv > 1 then begin
-              (* truncation shortens the frame below what its logical
-                 words need: the decoder would raise Truncated_frame, so
-                 it is always detected — drop at the recv path *)
-              tally.Corrupt.injected <- tally.Corrupt.injected + 1;
-              tally.Corrupt.truncated <- tally.Corrupt.truncated + 1;
-              kill ()
-            end
-            else if fthr > 0 then begin
-              let base = slot * stride in
-              let hitany = ref false in
-              for i = 0 to wv - 1 do
-                let h = Corrupt.decide ~cseed ~round:r ~slot ~lane:(i + 1) in
-                if Corrupt.hit h fthr then begin
-                  hitany := true;
-                  let stop = min (i + burst - 1) (wv - 1) in
-                  for jj = i to stop do
-                    let hm =
-                      if jj = i then h
-                      else
-                        Corrupt.decide ~cseed ~round:r ~slot
-                          ~lane:(wv + 1 + jj)
-                    in
-                    let off = base + (2 * jj) in
-                    Bytes.set_uint16_le dv.data off
-                      (Bytes.get_uint16_le dv.data off lxor Corrupt.mask hm)
-                  done
-                end
-              done;
-              if !hitany then begin
-                tally.Corrupt.injected <- tally.Corrupt.injected + 1;
-                let clean =
-                  Codec.verify dv.data ~base ~wire:wv
-                  && Codec.well_formed dv.data ~base
-                       ~wire:(wv - Codec.guard_words) ~words:dv.wlog.(slot)
-                in
-                if not clean then begin
-                  tally.Corrupt.detected <- tally.Corrupt.detected + 1;
-                  kill ()
-                end
-              end
-            end
-          end
-        done
-      end
-    | None -> ());
-    let this_round = dv.total in
-    max_inflight := max !max_inflight this_round;
-    messages := !messages + this_round;
-    let live_snapshot = !live_len - !crashed_live in
-    (* The reference semantics raise at the first offending node in id
-       order; a halted receiver competes with live-node send violations.
-       [v_min] is the smallest halted node holding undeliverable mail. *)
-    let v_min = ref (-1) in
-    for i = 0 to dv.alen - 1 do
-      let v = dv.active.(i) in
-      if (not is_live.(v)) && dv.count.(v) > 0 && (!v_min < 0 || v < !v_min) then
-        v_min := v
-    done;
-    let compacted = ref !churn_killed in
-    let step_node v =
-      if !v_min >= 0 && !v_min < v then
-        raise
-          (Congestion_violation
-             (Printf.sprintf "round %d: halted node %d received a message" r !v_min));
-      (* mark the inbox for a lazy fill: the in-port scan runs only if
-         the kernel touches its mail this step *)
-      let ib = e.ib in
-      ib.Inbox.len <- 0;
-      ib.Inbox.fill_node <- v;
-      em.Emit.enode <- v;
-      let st =
-        try algo.estep g ~round:r ~node:v states.(v) ib em
-        with Codec.Width_exceeded { budget; words } ->
-          raise
-            (Congestion_violation
-               (Printf.sprintf "round %d: node %d payload of %d words exceeds %d"
-                  r v words budget))
-      in
-      if em.Emit.eopen then
-        invalid_arg "Engine.Emit: frame left open at end of step";
-      states.(v) <- st;
-      if a_halted st then begin
-        is_live.(v) <- false;
-        compacted := true;
-        if e.is_always.(v) then begin
-          e.is_always.(v) <- false;
-          always_dirty := true
-        end;
-        e.wake_at.(v) <- -1
-      end
-      else if not degrade then apply_wake v st r
-    in
-    let stepped = ref 0 in
-    let woken = ref 0 in
-    if not !hinted then begin
-      (* dense path: every live node steps, exactly the legacy schedule
-         (the guard only skips nodes churn crashed before compaction) *)
-      stepped := live_snapshot;
-      for i = 0 to !live_len - 1 do
-        let v = live.(i) in
-        if is_live.(v) then step_node v
-      done
-    end
-    else begin
-      (* sparse path: frontier = valid timer wake-ups + receivers + the
-         Always set, stepped in ascending node id *)
-      let plen = ref 0 in
-      let push v =
-        if e.fstamp.(v) <> r then begin
-          e.fstamp.(v) <- r;
-          e.frontier.(!plen) <- v;
-          incr plen
-        end
-      in
-      if r < Array.length e.buckets then begin
-        let fired = e.buckets.(r) in
-        e.buckets.(r) <- [];
-        List.iter
-          (fun v ->
-            (* lazy invalidation: a rescheduled or cancelled wake leaves a
-               stale entry behind; only the latest hint counts *)
-            if e.wake_at.(v) = r then begin
-              e.wake_at.(v) <- -1;
-              if is_live.(v) then begin
-                incr woken;
-                push v
-              end
-            end)
-          fired
-      end;
-      for i = 0 to dv.alen - 1 do
-        let v = dv.active.(i) in
-        (* the count guard matters only under churn: a receiver whose whole
-           inbox was churned away is not woken *)
-        if is_live.(v) && dv.count.(v) > 0 then push v
-      done;
-      for i = 0 to !alen - 1 do
-        push e.always.(i)
-      done;
-      sort_prefix e.frontier !plen;
-      stepped := !plen;
-      for i = 0 to !plen - 1 do
-        step_node e.frontier.(i)
-      done
-    end;
-    if !v_min >= 0 then
-      raise
-        (Congestion_violation
-           (Printf.sprintf "round %d: halted node %d received a message" r !v_min));
-    let receivers =
-      (* an active entry whose inbox was entirely churned or corrupted
-         away received nothing; without drops every entry keeps its count *)
-      if !churn_dropped = 0 && !corrupt_dropped = 0 then dv.alen
-      else begin
-        let c = ref 0 in
-        for i = 0 to dv.alen - 1 do
-          if dv.count.(dv.active.(i)) > 0 then incr c
-        done;
-        !c
-      end
-    and delivered_words = dv.words
-    and delivered_bits = dv.bits in
-    for j = 0 to dv.wlen - 1 do
-      dv.wire.(dv.written.(j)) <- -1
-    done;
-    for i = 0 to dv.alen - 1 do
-      dv.count.(dv.active.(i)) <- 0
-    done;
-    dv.wlen <- 0;
-    dv.alen <- 0;
-    dv.total <- 0;
-    dv.words <- 0;
-    dv.bits <- 0;
-    if !compacted then begin
-      (* stable compaction keeps the live list ascending *)
-      let w = ref 0 in
-      for i = 0 to !live_len - 1 do
-        let v = live.(i) in
-        if is_live.(v) then begin
-          live.(!w) <- v;
-          incr w
-        end
-      done;
-      live_len := !w
-    end;
-    if !transition then begin
-      (* first non-Always hint this run: seed the Always set from the live
-         list (ascending, so it starts sorted) *)
-      transition := false;
-      alen := 0;
-      for i = 0 to !live_len - 1 do
-        let v = live.(i) in
-        if e.is_always.(v) then begin
-          e.always.(!alen) <- v;
-          incr alen
-        end
-      done;
-      always_dirty := false;
-      always_unsorted := false
-    end
-    else if !always_dirty || !always_unsorted then begin
-      let w = ref 0 in
-      for i = 0 to !alen - 1 do
-        let v = e.always.(i) in
-        if is_live.(v) && e.is_always.(v) then begin
-          e.always.(!w) <- v;
-          incr w
-        end
-      done;
-      alen := !w;
-      if !always_unsorted then sort_prefix e.always !alen;
-      always_dirty := false;
-      always_unsorted := false
-    end;
-    if instrumented then
-      sink.on_round
-        {
-          round = r;
-          delivered = this_round;
-          delivered_words;
-          delivered_bits;
-          receivers;
-          stepped = !stepped;
-          skipped = live_snapshot - !stepped;
-          woken = !woken;
-          sent = sd.total;
-          dropped = !churn_dropped;
-          duplicated = 0;
-          retransmits = 0;
-          corrupted = !corrupt_dropped;
-          crashed = !newly_crashed;
-          arrived = !newly_arrived;
-          departed = !newly_departed;
-          inserted = !newly_inserted;
-        };
-    incr round
-  done;
-  e.running <- false;
-  e.dirty <- false;
-  if instrumented then sink.on_finish ();
-  (states, { rounds = !round; messages = !messages; max_inflight = !max_inflight })
-
-(* ------------------------------------------------------------------ *)
-(* Sharded execution: the same semantics as [exec_unguarded], bit for bit,
-   but with the node set partitioned into [d] shards stepped on [d] OCaml 5
-   domains.  The round structure is
-
-     serial: buffer swap, churn application, halted-receiver minimum
-     parallel phase A: each shard steps its own frontier in ascending node
-       id; intra-shard frames land directly in the send buffer, cross-shard
-       frames are appended to a fixed per-(src-shard, dst-shard) arena
-     serial: violation resolution, deferred sink dispatch, round record
-     parallel phase B: each destination shard drains the cross arenas
-       addressed to it in src-shard order
-
-   Determinism does not depend on scheduling: every mutable cell is owned
-   by exactly one shard within a phase (slots and counts are owned by the
-   destination, send stamps by the source, node state by the owner), the
-   arenas are filled in each source's deterministic stepping order and
-   drained in fixed src-shard order, and the buffers are slot-indexed so
-   final contents are independent of drain interleaving.  Sink callbacks
-   are deferred to the barrier and replayed in ascending source id — the
-   sequential emission order — so instrumented runs are also identical.
-
-   Violations cannot abort mid-phase without racing the other shards, so
-   each shard records its first violation (the node it fired at, plus a
-   priority bit ordering the halted-receiver check before the send checks
-   at the same node) and stops stepping; the barrier re-raises the
-   lexicographically smallest one — exactly the violation the sequential
-   sweep would have hit first. *)
-
-exception Stop_shard
-
-(* Per-shard bookkeeping for one direction of the double buffer.  The
-   payload slots and per-node counts live in arrays shared across shards
-   (every entry has a unique owning shard); the written / active stacks are
-   private so clearing stays shard-local. *)
-type sbuf = {
-  s_written : int array;  (* in-slots of this shard written this round *)
-  mutable s_wlen : int;
-  s_active : int array;   (* owned receivers with count > 0 *)
-  mutable s_alen : int;
-  mutable s_total : int;
-  mutable s_words : int;
-  mutable s_bits : int;
-}
-
-(* Cross-shard frame list for one (src shard, dst shard) pair: appended by
-   the source in stepping order during phase A, drained and reset by the
-   destination during phase B.  The phases are barrier-separated, so the
-   two owners never touch it concurrently.
-
-   With the packed arena the frame *data* no longer travels through here:
-   every directed slot has a unique sender, so the source encodes the
-   frame straight into the shared send arena (bytes, wire and word counts
-   are all slot-indexed cells only that source writes this round) and the
-   destination merely learns *which* slots arrived — the per-frame boxed
-   copy of the old exchange, and the flat blit that was to replace it,
-   both optimize away to an int push. *)
-type xarena = {
-  mutable x_slot : int array;
-  mutable x_len : int;
-}
-
-type shard = {
-  sh_nodes : int array;  (* owned nodes, ascending *)
-  sh_live : int array;
-  mutable sh_live_len : int;
-  sh_frontier : int array;
-  sh_always : int array;
-  mutable sh_alen : int;
-  mutable sh_buckets : int list array;
-  sh_ib : Inbox.t;
-  sh_a : sbuf;
-  sh_b : sbuf;
-  (* per-round outputs (phase A) *)
-  mutable sh_stepped : int;
-  mutable sh_woken : int;
-  mutable sh_receivers : int;
-  mutable sh_delivered_words : int;
-  mutable sh_delivered_bits : int;
-  mutable sh_emitted : int;
-  mutable sh_send_dropped : int;
-  mutable sh_hinted : bool;
-  mutable sh_vmin : int;  (* halted-receiver candidate for the next round *)
-  (* control flags written serially / by the owner *)
-  mutable sh_crashed_live : int;
-  mutable sh_compact : bool;
-  mutable sh_hit : bool;  (* an in-flight frame to this shard was churned *)
-  mutable sh_always_dirty : bool;
-  mutable sh_always_unsorted : bool;
-  (* first violation: node, priority (0 halted < 1 send), exception *)
-  mutable sh_vnode : int;
-  mutable sh_vprio : int;
-  mutable sh_vexn : exn option;
-  (* deferred on_message events, (src, dst, words), src-ascending *)
-  mutable sh_ev_src : int array;
-  mutable sh_ev_dst : int array;
-  mutable sh_ev_w : int array;
-  mutable sh_ev_len : int;
-  sh_em : Emit.t; (* per-shard emitter for the emit fast path *)
-}
-
-let contiguous_partition ~n ~shards =
-  let shard_of = Array.make (max 1 n) 0 in
-  for s = 0 to shards - 1 do
-    for v = s * n / shards to ((s + 1) * n / shards) - 1 do
-      shard_of.(v) <- s
-    done
-  done;
-  shard_of
-
-let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
-    ?churn ?(guard = false) ?corrupt ~domains ?partition e algo =
-  let n = e.n in
-  let g = e.g in
-  (match churn with
-  | Some (c : Churn.t) ->
-    if Array.length c.Churn.crashed <> max 1 n
-       || Array.length c.Churn.edge_down <> max 1 e.ports
-    then invalid_arg "Engine.exec: churn compiled against a different engine";
-    Churn.reset c
-  | None -> ());
-  (match corrupt with
-  | Some (cs : Corrupt.spec) ->
-    Corrupt.validate cs;
-    cs.Corrupt.tally.Corrupt.injected <- 0;
-    cs.Corrupt.tally.Corrupt.detected <- 0;
-    cs.Corrupt.tally.Corrupt.truncated <- 0
-  | None -> ());
-  let guard = guard || corrupt <> None in
-  let max_rounds =
-    match max_rounds with Some r -> r | None -> default_max_rounds n
-  in
-  let max_words =
-    match max_words with Some w -> w | None -> default_max_words n
-  in
-  let d = max 1 (min domains (max 1 n)) in
-  let shard_of =
-    match partition with
-    | None -> contiguous_partition ~n ~shards:d
-    | Some p ->
-      if Array.length p <> n then
-        invalid_arg "Engine.exec: partition length differs from node count";
-      Array.iter
-        (fun s ->
-          if s < 0 || s >= d then
-            invalid_arg "Engine.exec: partition shard id out of range")
-        p;
-      p
-  in
-  e.running <- true;
-  let a_halted = algo.ehalted and a_wake = algo.ewake in
-  let states = Array.init n (fun v -> algo.einit g v) in
-  (* shared per-node / per-port arrays; each entry has one owning shard *)
-  let is_live = Array.make (max 1 n) false in
-  let is_always = Array.make (max 1 n) false in
-  let wake_at = Array.make (max 1 n) (-1) in
-  let fstamp = Array.make (max 1 n) (-1) in
-  let sent_stamp = Array.make (max 1 e.ports) (-1) in
-  (* Packed frame arenas, one per buffer direction.  Every slot-indexed
-     cell (bytes region, wire count, word count) is written by exactly one
-     shard per phase — the slot's unique sender during phase A, nobody
-     afterwards — and read only after the phase barrier, so the shards
-     never race on them. *)
-  let stride = stride_for ~guard ~max_words () in
-  let data_a = Bytes.create (max 2 (e.ports * stride)) in
-  let data_b = Bytes.create (max 2 (e.ports * stride)) in
-  let wire_a = Array.make (max 1 e.ports) (-1) in
-  let wire_b = Array.make (max 1 e.ports) (-1) in
-  let wlog_a = Array.make (max 1 e.ports) 0 in
-  let wlog_b = Array.make (max 1 e.ports) 0 in
-  let count_a = Array.make (max 1 n) 0 in
-  let count_b = Array.make (max 1 n) 0 in
-  (* build shards: sizes, in-port write capacities, max in-degrees *)
-  let sizes = Array.make d 0 in
-  let inports = Array.make d 0 in
-  let max_indeg = Array.make d 0 in
-  for v = 0 to n - 1 do
-    let s = shard_of.(v) in
-    sizes.(s) <- sizes.(s) + 1;
-    let indeg = e.out_off.(v + 1) - e.out_off.(v) in
-    inports.(s) <- inports.(s) + indeg;
-    if indeg > max_indeg.(s) then max_indeg.(s) <- indeg
-  done;
-  let shards =
-    Array.init d (fun s ->
-        let cap = max 1 sizes.(s) in
-        (* every slot written for this shard delivers to one of its nodes,
-           so the written-stack capacity is its in-port count *)
-        let wcap = max 1 inports.(s) in
-        let mk_sbuf () =
-          {
-            s_written = Array.make wcap 0;
-            s_wlen = 0;
-            s_active = Array.make cap 0;
-            s_alen = 0;
-            s_total = 0;
-            s_words = 0;
-            s_bits = 0;
-          }
-        in
-        {
-          sh_nodes = Array.make cap 0;
-          sh_live = Array.make cap 0;
-          sh_live_len = 0;
-          sh_frontier = Array.make cap 0;
-          sh_always = Array.make cap 0;
-          sh_alen = 0;
-          sh_buckets = Array.make 16 [];
-          sh_ib = Inbox.create ~cap:(max 1 max_indeg.(s)) ();
-          sh_a = mk_sbuf ();
-          sh_b = mk_sbuf ();
-          sh_stepped = 0;
-          sh_woken = 0;
-          sh_receivers = 0;
-          sh_delivered_words = 0;
-          sh_delivered_bits = 0;
-          sh_emitted = 0;
-          sh_send_dropped = 0;
-          sh_hinted = false;
-          sh_vmin = -1;
-          sh_crashed_live = 0;
-          sh_compact = false;
-          sh_hit = false;
-          sh_always_dirty = false;
-          sh_always_unsorted = false;
-          sh_vnode = -1;
-          sh_vprio = 0;
-          sh_vexn = None;
-          sh_ev_src = [||];
-          sh_ev_dst = [||];
-          sh_ev_w = [||];
-          sh_ev_len = 0;
-          sh_em = Emit.make ();
-        })
-  in
-  let fill = Array.make d 0 in
-  for v = 0 to n - 1 do
-    let s = shard_of.(v) in
-    shards.(s).sh_nodes.(fill.(s)) <- v;
-    fill.(s) <- fill.(s) + 1
-  done;
-  let xas =
-    Array.init d (fun _ -> Array.init d (fun _ -> { x_slot = [||]; x_len = 0 }))
-  in
+  let is_live = e.is_live and is_always = e.is_always in
+  let wake_at = e.wake_at and fstamp = e.fstamp in
+  Array.fill fstamp 0 (Array.length fstamp) (-1);
+  Array.fill wake_at 0 (Array.length wake_at) (-1);
   let xpush xa slot =
     let cap = Array.length xa.x_slot in
     if xa.x_len = cap then begin
@@ -1894,11 +1221,17 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
     sh.sh_ev_w.(sh.sh_ev_len) <- w;
     sh.sh_ev_len <- sh.sh_ev_len + 1
   in
-  (* replay deferred on_message events in ascending source id — the
-     sequential emission order.  [limit]/[owner] truncate the replay to
-     what the sequential sweep emitted before raising at node [limit]:
-     everything from sources below it, plus the violating shard's own
-     events at the violating node. *)
+  let round = ref 0 in
+  (* one shard emits in ascending source id already: dispatch inline *)
+  let message sh ~src ~dst ~words =
+    if solo then sink.on_message ~round:!round ~src ~dst ~words
+    else evpush sh src dst words
+  in
+  (* replay deferred on_message events in ascending source id.
+     [limit]/[owner] truncate the replay to what an ascending sweep
+     emitted before raising at node [limit]: everything from sources
+     below it, plus the violating shard's own events at the violating
+     node. *)
   let emit_events ~round ~limit ~owner =
     let idx = Array.make d 0 in
     let continue = ref true in
@@ -1926,6 +1259,8 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       end
     done
   in
+  (* Hoisted churn views: the empty arrays are never indexed (short-circuit
+     on [churn_on]), so the no-churn send path costs one extra branch. *)
   let churn_edge_down, churn_crashed, churn_dormant =
     match churn with
     | Some (c : Churn.t) ->
@@ -1933,20 +1268,26 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
     | None -> ([||], [||], [||])
   in
   let churn_on = churn <> None in
-  (* initial liveness *)
+  (* Initial liveness.  Every node starts in Always mode: hints are
+     consulted only after a step, and round 0 (the init round) steps every
+     live node regardless. *)
   for v = 0 to n - 1 do
     if (not (a_halted states.(v))) && not (churn_on && churn_dormant.(v))
     then begin
-      let sh = shards.(shard_of.(v)) in
+      let sh = shard_for v in
       is_live.(v) <- true;
       is_always.(v) <- true;
       sh.sh_live.(sh.sh_live_len) <- v;
       sh.sh_live_len <- sh.sh_live_len + 1
     end
+    else begin
+      is_live.(v) <- false;
+      is_always.(v) <- false
+    end
   done;
-  (* serially-written controls read by the phase bodies *)
-  let cur_is_a = ref false in  (* true when buffer A is the delivery side *)
-  let round = ref 0 in
+  (* Serially-written controls read by the phase bodies.  [hinted] stays
+     false, and every live node steps every round, until some step
+     returns a non-Always hint. *)
   let hinted = ref false in
   let transition = ref false in
   let trans_flag = ref false in
@@ -1956,9 +1297,6 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   let live_total = ref 0 in
   Array.iter (fun sh -> live_total := !live_total + sh.sh_live_len) shards;
   let pending_next = ref 0 in
-  let sbuf_of sh ~delivery =
-    if !cur_is_a = delivery then sh.sh_a else sh.sh_b
-  in
   let schedule sh v k =
     wake_at.(v) <- k;
     let len = Array.length sh.sh_buckets in
@@ -1991,17 +1329,29 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       | OnMessage -> wake_at.(v) <- -1
       | Always -> assert false)
   in
+  (* A shard's first violation is recorded and the shard stops: the
+     caller raises the returned [Stop_shard] itself, so the hot loops see
+     a raise, after which nothing stays live, rather than a call. *)
   let record sh v prio exn =
     sh.sh_vnode <- v;
     sh.sh_vprio <- prio;
     sh.sh_vexn <- Some exn;
-    raise Stop_shard
+    Stop_shard
   in
-  (* Per-shard emitters: same checks and bookkeeping as the sequential
-     emitter, but the frame is encoded directly into the shared send
-     arena by its unique sender.  Cross-shard destinations get an int
-     push; the owning destination shard completes the receiver-side
-     bookkeeping at phase B. *)
+  let duplicate sh v u =
+    record sh v 1
+      (Congestion_violation
+         (Printf.sprintf "round %d: node %d sent twice over edge to %d" !round
+            v u))
+  in
+  (* The send path: one reusable emitter per shard whose start/commit
+     write the frame straight into the shared send arena, at the slot its
+     sender uniquely owns.  [start] checks, in order, non-neighbor,
+     churn-dead and duplicate edge (a published slot has wire >= 0 until
+     its receiver clears it); width is enforced by the writer budget as
+     the frame is built; [commit] publishes the slot.  A frame to another
+     shard is published by slot number only: the receiver's shard does
+     the receiver-side bookkeeping at the exchange. *)
   Array.iteri
     (fun s sh ->
       let em = sh.sh_em in
@@ -2010,32 +1360,30 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
           if t.Emit.eopen then
             invalid_arg "Engine.Emit.start: frame already open";
           let v = t.Emit.enode in
-          let r = !round in
           let slot = find_port e ~src:v ~dst:u in
           if slot < 0 then
-            record sh v 1
-              (Congestion_violation
-                 (Printf.sprintf "round %d: node %d sent to non-neighbor %d"
-                    r v u));
+            raise
+              (record sh v 1
+                 (Congestion_violation
+                    (Printf.sprintf "round %d: node %d sent to non-neighbor %d"
+                       !round v u)));
+          let sd = sh.sh_send in
           if
             churn_on
             && (churn_edge_down.(slot) || churn_crashed.(u)
                || churn_dormant.(u))
-          then t.Emit.edead <- true
+          then
+            (* frame onto a dead port or to a crashed node: build it (the
+               width budget still applies) but never publish the slot *)
+            t.Emit.edead <- true
           else begin
-            if sent_stamp.(slot) = r then
-              record sh v 1
-                (Congestion_violation
-                   (Printf.sprintf
-                      "round %d: node %d sent twice over edge to %d" r v u));
-            sent_stamp.(slot) <- r;
+            if sd.wire.(slot) >= 0 then raise (duplicate sh v u);
             t.Emit.edead <- false
           end;
           t.Emit.edst <- u;
           t.Emit.eslot <- slot;
           t.Emit.eopen <- true;
-          let sdata = if !cur_is_a then data_b else data_a in
-          Codec.attach_writer ~guard t.Emit.ew sdata ~base:(slot * stride)
+          Codec.attach_writer ~guard t.Emit.ew sd.data ~base:(slot * stride)
             ~budget:max_words;
           t.Emit.ew);
       em.Emit.ecommit <-
@@ -2043,59 +1391,52 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
           if not t.Emit.eopen then
             invalid_arg "Engine.Emit.commit: no open frame";
           t.Emit.eopen <- false;
-          if t.Emit.edead then
-            sh.sh_send_dropped <- sh.sh_send_dropped + 1
+          if t.Emit.edead then sh.sh_send_dropped <- sh.sh_send_dropped + 1
           else begin
+            let sd = sh.sh_send in
             let slot = t.Emit.eslot and u = t.Emit.edst in
-            let w = Codec.words t.Emit.ew
-            and wire = Codec.seal t.Emit.ew in
-            let swire = if !cur_is_a then wire_b else wire_a in
-            let swlog = if !cur_is_a then wlog_b else wlog_a in
-            swire.(slot) <- wire;
-            swlog.(slot) <- w;
-            let tgt = shard_of.(u) in
-            if tgt = s then begin
-              let svb = sbuf_of sh ~delivery:false in
-              let scount = if !cur_is_a then count_b else count_a in
-              svb.s_written.(svb.s_wlen) <- slot;
-              svb.s_wlen <- svb.s_wlen + 1;
-              if scount.(u) = 0 then begin
-                svb.s_active.(svb.s_alen) <- u;
-                svb.s_alen <- svb.s_alen + 1
+            let w = Codec.words t.Emit.ew and wire = Codec.seal t.Emit.ew in
+            sd.wire.(slot) <- wire;
+            sd.wlog.(slot) <- w;
+            if solo || shard_of.(u) = s then begin
+              sd.written.(sd.wlen) <- slot;
+              sd.wlen <- sd.wlen + 1;
+              if sd.count.(u) = 0 then begin
+                sd.active.(sd.alen) <- u;
+                sd.alen <- sd.alen + 1
               end;
-              scount.(u) <- scount.(u) + 1;
-              svb.s_total <- svb.s_total + 1;
-              svb.s_words <- svb.s_words + w;
-              svb.s_bits <- svb.s_bits + (word_bits * wire)
+              sd.count.(u) <- sd.count.(u) + 1;
+              sd.total <- sd.total + 1;
+              sd.words <- sd.words + w;
+              sd.bits <- sd.bits + (word_bits * wire)
             end
-            else xpush xas.(s).(tgt) slot;
-            sh.sh_emitted <- sh.sh_emitted + 1;
-            if instrumented then evpush sh t.Emit.enode u w
+            else xpush xas.(s).(shard_of.(u)) slot;
+            if instrumented then message sh ~src:t.Emit.enode ~dst:u ~words:w
           end);
-      (* Broadcast fast path, sharded: encode once into the shard's
-         scratch, then walk the sender's contiguous out-port segment —
-         every slot belongs to this shard's sender, so the writes race
-         with nobody; only the cross-shard pushes go through [xpush]. *)
+      (* Broadcast fast path: encode the one-word frame once into a
+         scratch region, then walk the sender's contiguous out-port
+         segment directly — no per-neighbor binary search, no per-frame
+         start/commit pair. *)
       let bscratch =
         Bytes.create (2 * (Codec.max_wire_words + Codec.guard_words))
       in
-      (* Broadcast memo (see the sequential executor): one encode per
-         distinct consecutive value, per shard. *)
-      let bmemo_live = ref false
-      and bmemo_a = ref 0
-      and bmemo_wire = ref 0 in
+      (* Broadcast memo: consecutive [broadcast1] calls with the same value
+         re-use the encoded scratch frame, so a flood round encodes (and
+         CRCs, when the guard is on) once per shard instead of n times.
+         Nothing else writes [bscratch], so the memo never goes stale. *)
+      let bmemo_live = ref false and bmemo_a = ref 0 and bmemo_wire = ref 0 in
       em.Emit.ebroadcast1 <-
         (fun t a ->
           if t.Emit.eopen then
             invalid_arg "Engine.Emit.broadcast1: frame already open";
           let v = t.Emit.enode in
-          let r = !round in
           if max_words < 1 then
-            record sh v 1
-              (Congestion_violation
-                 (Printf.sprintf
-                    "round %d: node %d payload of %d words exceeds %d" r v 1
-                    max_words));
+            raise
+              (record sh v 1
+                 (Congestion_violation
+                    (Printf.sprintf
+                       "round %d: node %d payload of %d words exceeds %d"
+                       !round v 1 max_words)));
           let wire =
             if !bmemo_live && !bmemo_a = a then !bmemo_wire
             else begin
@@ -2109,91 +1450,134 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
               w
             end
           in
-          let sdata = if !cur_is_a then data_b else data_a in
-          let swire = if !cur_is_a then wire_b else wire_a in
-          let swlog = if !cur_is_a then wlog_b else wlog_a in
-          let scount = if !cur_is_a then count_b else count_a in
-          let svb = sbuf_of sh ~delivery:false in
-          for slot = e.out_off.(v) to e.out_off.(v + 1) - 1 do
-            let u = e.out_dst.(slot) in
-            if
-              churn_on
-              && (churn_edge_down.(slot) || churn_crashed.(u)
-                 || churn_dormant.(u))
-            then sh.sh_send_dropped <- sh.sh_send_dropped + 1
-            else begin
-              if sent_stamp.(slot) = r then
-                record sh v 1
-                  (Congestion_violation
-                     (Printf.sprintf
-                        "round %d: node %d sent twice over edge to %d" r v u));
-              sent_stamp.(slot) <- r;
-              (* width-specialized stores: the 1- and 2-word (guarded)
-                 broadcast frames skip the blit call entirely *)
-              if wire = 1 then
-                Bytes.set_uint16_le sdata (slot * stride)
-                  (Bytes.get_uint16_le bscratch 0)
-              else if wire = 2 then
-                Bytes.set_int32_le sdata (slot * stride)
-                  (Bytes.get_int32_le bscratch 0)
-              else Bytes.blit bscratch 0 sdata (slot * stride) (2 * wire);
-              swire.(slot) <- wire;
-              swlog.(slot) <- 1;
-              let tgt = shard_of.(u) in
-              if tgt = s then begin
-                svb.s_written.(svb.s_wlen) <- slot;
-                svb.s_wlen <- svb.s_wlen + 1;
-                if scount.(u) = 0 then begin
-                  svb.s_active.(svb.s_alen) <- u;
-                  svb.s_alen <- svb.s_alen + 1
+          let sd = sh.sh_send in
+          let first = e.out_off.(v) and stop = e.out_off.(v + 1) in
+          if
+            (not churn_on) && (not instrumented)
+            && (solo || Bytes.get local v <> '\000')
+          then begin
+            (* The lean loops: every neighbor is live and in this shard,
+               so every slot of the range is written and lands here.
+               Arrays are hoisted into locals (without flambda every
+               [sd.field.(slot)] reloads the field inside the loop), the
+               [written] cursor is [wbase + slot] (a loop-carried ref
+               would be a per-step allocation), and the totals are
+               batched after the loop. *)
+            let data = sd.data
+            and swire = sd.wire
+            and swlog = sd.wlog
+            and written = sd.written
+            and count = sd.count
+            and active = sd.active
+            and out_dst = e.out_dst in
+            let wbase = sd.wlen - first in
+            if wire = 1 then begin
+              (* a small value is one u16 store plus the minimum
+                 bookkeeping *)
+              let g = Bytes.get_uint16_le bscratch 0 in
+              for slot = first to stop - 1 do
+                let u = out_dst.(slot) in
+                if swire.(slot) >= 0 then raise (duplicate sh v u);
+                Bytes.set_uint16_le data (slot * stride) g;
+                swire.(slot) <- 1;
+                swlog.(slot) <- 1;
+                written.(wbase + slot) <- slot;
+                let c = count.(u) in
+                if c = 0 then begin
+                  active.(sd.alen) <- u;
+                  sd.alen <- sd.alen + 1
                 end;
-                scount.(u) <- scount.(u) + 1;
-                svb.s_total <- svb.s_total + 1;
-                svb.s_words <- svb.s_words + 1;
-                svb.s_bits <- svb.s_bits + (word_bits * wire)
-              end
-              else xpush xas.(s).(tgt) slot;
-              sh.sh_emitted <- sh.sh_emitted + 1;
-              if instrumented then evpush sh v u 1
+                count.(u) <- c + 1
+              done
             end
-          done))
-    shards;
-  (* Per-shard deferred in-port scans (see the sequential executor): the
-     delivery side is re-derived from [cur_is_a] at fill time, and every
-     filled slot was published at the last frame exchange, so the lazy
-     scan reads exactly what the eager one did. *)
-  Array.iter
-    (fun sh ->
-      sh.sh_ib.Inbox.filler <-
-        (fun ib ->
-          let v = ib.Inbox.fill_node in
-          ib.Inbox.fill_node <- -1;
-          let dwire = if !cur_is_a then wire_a else wire_b in
-          let dcount = if !cur_is_a then count_a else count_b in
-          if dcount.(v) > 0 then
-            for j = e.out_off.(v) to e.out_off.(v + 1) - 1 do
-              let slot = e.rev_slot.(j) in
-              if dwire.(slot) >= 0 then begin
-                ib.Inbox.src.(ib.Inbox.len) <- e.out_dst.(j);
-                ib.Inbox.slot.(ib.Inbox.len) <- slot;
-                ib.Inbox.len <- ib.Inbox.len + 1
+            else if wire = 2 then begin
+              (* a one-word value plus its CRC guard word is exactly one
+                 32-bit store — the stride is always at least
+                 [2 * max_wire_words] bytes, so the wide store stays
+                 inside the slot's frame region *)
+              let g = Bytes.get_int32_le bscratch 0 in
+              for slot = first to stop - 1 do
+                let u = out_dst.(slot) in
+                if swire.(slot) >= 0 then raise (duplicate sh v u);
+                Bytes.set_int32_le data (slot * stride) g;
+                swire.(slot) <- 2;
+                swlog.(slot) <- 1;
+                written.(wbase + slot) <- slot;
+                let c = count.(u) in
+                if c = 0 then begin
+                  active.(sd.alen) <- u;
+                  sd.alen <- sd.alen + 1
+                end;
+                count.(u) <- c + 1
+              done
+            end
+            else
+              for slot = first to stop - 1 do
+                let u = out_dst.(slot) in
+                if swire.(slot) >= 0 then raise (duplicate sh v u);
+                Bytes.blit bscratch 0 data (slot * stride) (2 * wire);
+                swire.(slot) <- wire;
+                swlog.(slot) <- 1;
+                written.(wbase + slot) <- slot;
+                let c = count.(u) in
+                if c = 0 then begin
+                  active.(sd.alen) <- u;
+                  sd.alen <- sd.alen + 1
+                end;
+                count.(u) <- c + 1
+              done;
+            let sent = stop - first in
+            sd.wlen <- sd.wlen + sent;
+            sd.total <- sd.total + sent;
+            sd.words <- sd.words + sent;
+            sd.bits <- sd.bits + (word_bits * wire * sent)
+          end
+          else
+            (* per-slot accounting: dead ports send nothing, cross-shard
+               slots are published by number, and the sink sees each
+               frame *)
+            for slot = first to stop - 1 do
+              let u = e.out_dst.(slot) in
+              if
+                churn_on
+                && (churn_edge_down.(slot) || churn_crashed.(u)
+                   || churn_dormant.(u))
+              then sh.sh_send_dropped <- sh.sh_send_dropped + 1
+              else begin
+                if sd.wire.(slot) >= 0 then raise (duplicate sh v u);
+                if wire = 1 then
+                  Bytes.set_uint16_le sd.data (slot * stride)
+                    (Bytes.get_uint16_le bscratch 0)
+                else Bytes.blit bscratch 0 sd.data (slot * stride) (2 * wire);
+                sd.wire.(slot) <- wire;
+                sd.wlog.(slot) <- 1;
+                if solo || shard_of.(u) = s then begin
+                  sd.written.(sd.wlen) <- slot;
+                  sd.wlen <- sd.wlen + 1;
+                  if sd.count.(u) = 0 then begin
+                    sd.active.(sd.alen) <- u;
+                    sd.alen <- sd.alen + 1
+                  end;
+                  sd.count.(u) <- sd.count.(u) + 1;
+                  sd.total <- sd.total + 1;
+                  sd.words <- sd.words + 1;
+                  sd.bits <- sd.bits + (word_bits * wire)
+                end
+                else xpush xas.(s).(shard_of.(u)) slot;
+                if instrumented then message sh ~src:v ~dst:u ~words:1
               end
             done))
     shards;
-  (* phase A: step this shard's frontier for round [!round] *)
+  (* step phase: step this shard's frontier for round [!round], then clear
+     what it was delivered *)
   let phase_step s =
     let sh = shards.(s) in
     let r = !round in
     let v_min = !vmin_flag in
-    let dvb = sbuf_of sh ~delivery:true in
-    let ddata = if !cur_is_a then data_a else data_b in
-    let dwire = if !cur_is_a then wire_a else wire_b in
-    let dwlog = if !cur_is_a then wlog_a else wlog_b in
-    let dcount = if !cur_is_a then count_a else count_b in
-    Inbox.attach sh.sh_ib ~data:ddata ~wire:dwire ~wlog:dwlog ~stride;
+    let dv = sh.sh_recv in
+    Inbox.attach sh.sh_ib ~data:dv.data ~wire:dv.wire ~wlog:dv.wlog ~stride;
     sh.sh_stepped <- 0;
     sh.sh_woken <- 0;
-    sh.sh_emitted <- 0;
     sh.sh_send_dropped <- 0;
     sh.sh_hinted <- false;
     sh.sh_ev_len <- 0;
@@ -2213,11 +1597,13 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
     end;
     let step_node v =
       if v_min >= 0 && v_min < v then
-        record sh v 0
-          (Congestion_violation
-             (Printf.sprintf "round %d: halted node %d received a message" r
-                v_min));
-      (* mark the inbox for a lazy fill, as in the sequential executor *)
+        raise
+          (record sh v 0
+             (Congestion_violation
+                (Printf.sprintf "round %d: halted node %d received a message"
+                   r v_min)));
+      (* mark the inbox for a lazy fill: the in-port scan runs only if the
+         kernel touches its mail this step *)
       let ib = sh.sh_ib in
       ib.Inbox.len <- 0;
       ib.Inbox.fill_node <- v;
@@ -2228,17 +1614,19 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
         with
         | Stop_shard as exn -> raise exn
         | Codec.Width_exceeded { budget; words } ->
-          record sh v 1
-            (Congestion_violation
-               (Printf.sprintf
-                  "round %d: node %d payload of %d words exceeds %d" r v
-                  words budget))
-        | exn -> record sh v 1 exn
+          raise
+            (record sh v 1
+               (Congestion_violation
+                  (Printf.sprintf
+                     "round %d: node %d payload of %d words exceeds %d" r v
+                     words budget)))
+        | exn -> raise (record sh v 1 exn)
       in
       if em.Emit.eopen then begin
         em.Emit.eopen <- false;
-        record sh v 1
-          (Invalid_argument "Engine.Emit: frame left open at end of step")
+        raise
+          (record sh v 1
+             (Invalid_argument "Engine.Emit: frame left open at end of step"))
       end;
       states.(v) <- st;
       if a_halted st then begin
@@ -2254,6 +1642,8 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
     in
     (try
        if !dense_flag then begin
+         (* dense path: every live node steps (the guard only skips nodes
+            churn crashed before compaction) *)
          sh.sh_stepped <- sh.sh_live_len - sh.sh_crashed_live;
          for i = 0 to sh.sh_live_len - 1 do
            let v = sh.sh_live.(i) in
@@ -2261,6 +1651,8 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
          done
        end
        else begin
+         (* sparse path: frontier = valid timer wake-ups + receivers + the
+            Always set, stepped in ascending node id *)
          let plen = ref 0 in
          let push v =
            if fstamp.(v) <> r then begin
@@ -2274,6 +1666,8 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
            sh.sh_buckets.(r) <- [];
            List.iter
              (fun v ->
+               (* lazy invalidation: a rescheduled or cancelled wake leaves
+                  a stale entry behind; only the latest hint counts *)
                if wake_at.(v) = r then begin
                  wake_at.(v) <- -1;
                  if is_live.(v) then begin
@@ -2283,9 +1677,11 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
                end)
              fired
          end;
-         for i = 0 to dvb.s_alen - 1 do
-           let v = dvb.s_active.(i) in
-           if is_live.(v) && dcount.(v) > 0 then push v
+         for i = 0 to dv.alen - 1 do
+           let v = dv.active.(i) in
+           (* the count guard matters only under churn: a receiver whose
+              whole inbox was churned away is not woken *)
+           if is_live.(v) && dv.count.(v) > 0 then push v
          done;
          for i = 0 to sh.sh_alen - 1 do
            push sh.sh_always.(i)
@@ -2298,31 +1694,32 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
        end
      with Stop_shard -> ());
     if sh.sh_vnode < 0 then begin
-      (* receivers / delivered words before clearing; a receiver whose whole
-         inbox was churned away received nothing *)
+      (* receivers / delivered words before clearing; a receiver whose
+         whole inbox was dropped in flight received nothing *)
       sh.sh_receivers <-
         (if sh.sh_hit then begin
            let c = ref 0 in
-           for i = 0 to dvb.s_alen - 1 do
-             if dcount.(dvb.s_active.(i)) > 0 then incr c
+           for i = 0 to dv.alen - 1 do
+             if dv.count.(dv.active.(i)) > 0 then incr c
            done;
            !c
          end
-         else dvb.s_alen);
-      sh.sh_delivered_words <- dvb.s_words;
-      sh.sh_delivered_bits <- dvb.s_bits;
-      for j = 0 to dvb.s_wlen - 1 do
-        dwire.(dvb.s_written.(j)) <- -1
+         else dv.alen);
+      sh.sh_delivered_words <- dv.words;
+      sh.sh_delivered_bits <- dv.bits;
+      for j = 0 to dv.wlen - 1 do
+        dv.wire.(dv.written.(j)) <- -1
       done;
-      for i = 0 to dvb.s_alen - 1 do
-        dcount.(dvb.s_active.(i)) <- 0
+      for i = 0 to dv.alen - 1 do
+        dv.count.(dv.active.(i)) <- 0
       done;
-      dvb.s_wlen <- 0;
-      dvb.s_alen <- 0;
-      dvb.s_total <- 0;
-      dvb.s_words <- 0;
-      dvb.s_bits <- 0;
+      dv.wlen <- 0;
+      dv.alen <- 0;
+      dv.total <- 0;
+      dv.words <- 0;
+      dv.bits <- 0;
       if sh.sh_compact then begin
+        (* stable compaction keeps the live list ascending *)
         let w = ref 0 in
         for i = 0 to sh.sh_live_len - 1 do
           let v = sh.sh_live.(i) in
@@ -2334,7 +1731,7 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
         sh.sh_live_len <- !w;
         sh.sh_compact <- false
       end;
-      if not !trans_flag && (sh.sh_always_dirty || sh.sh_always_unsorted)
+      if (not !trans_flag) && (sh.sh_always_dirty || sh.sh_always_unsorted)
       then begin
         let w = ref 0 in
         for i = 0 to sh.sh_alen - 1 do
@@ -2351,37 +1748,34 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       end
     end
   in
-  (* phase B: drain the cross arenas addressed to this shard, in src-shard
-     order, into the send buffer; then compute the halted-receiver
-     candidate the next round's serial section needs *)
+  (* exchange phase: drain the cross-shard lists addressed to this shard,
+     in src-shard order, into its send buffer; then compute the
+     halted-receiver candidate the next round's serial section needs *)
   let phase_exchange t =
     let sh = shards.(t) in
-    let svb = sbuf_of sh ~delivery:false in
-    let swire = if !cur_is_a then wire_b else wire_a in
-    let swlog = if !cur_is_a then wlog_b else wlog_a in
-    let scount = if !cur_is_a then count_b else count_a in
+    let sd = sh.sh_send in
     for s = 0 to d - 1 do
       let xa = xas.(s).(t) in
       for i = 0 to xa.x_len - 1 do
         let slot = xa.x_slot.(i) in
         let u = e.out_dst.(slot) in
-        svb.s_written.(svb.s_wlen) <- slot;
-        svb.s_wlen <- svb.s_wlen + 1;
-        if scount.(u) = 0 then begin
-          svb.s_active.(svb.s_alen) <- u;
-          svb.s_alen <- svb.s_alen + 1
+        sd.written.(sd.wlen) <- slot;
+        sd.wlen <- sd.wlen + 1;
+        if sd.count.(u) = 0 then begin
+          sd.active.(sd.alen) <- u;
+          sd.alen <- sd.alen + 1
         end;
-        scount.(u) <- scount.(u) + 1;
-        svb.s_total <- svb.s_total + 1;
-        svb.s_words <- svb.s_words + swlog.(slot);
-        svb.s_bits <- svb.s_bits + (word_bits * swire.(slot))
+        sd.count.(u) <- sd.count.(u) + 1;
+        sd.total <- sd.total + 1;
+        sd.words <- sd.words + sd.wlog.(slot);
+        sd.bits <- sd.bits + (word_bits * sd.wire.(slot))
       done;
       xa.x_len <- 0
     done;
     sh.sh_vmin <- -1;
-    for i = 0 to svb.s_alen - 1 do
-      let v = svb.s_active.(i) in
-      if (not is_live.(v)) && scount.(v) > 0
+    for i = 0 to sd.alen - 1 do
+      let v = sd.active.(i) in
+      if (not is_live.(v)) && sd.count.(v) > 0
          && (sh.sh_vmin < 0 || v < sh.sh_vmin)
       then sh.sh_vmin <- v
     done
@@ -2389,14 +1783,26 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
   let body pool =
     while !live_total > 0 || !pending_next > 0 do
       if !round > max_rounds then raise (Round_limit_exceeded !round);
-      cur_is_a := not !cur_is_a;
+      Array.iter
+        (fun sh ->
+          let b = sh.sh_recv in
+          sh.sh_recv <- sh.sh_send;
+          sh.sh_send <- b)
+        shards;
       let r = !round in
-      let ddata = if !cur_is_a then data_a else data_b in
-      let dwire = if !cur_is_a then wire_a else wire_b in
-      let dwlog = if !cur_is_a then wlog_a else wlog_b in
-      let dcount = if !cur_is_a then count_a else count_b in
-      (* churn is applied serially: it is rare, touches arbitrary shards,
-         and must be globally ordered before the halted-receiver minimum *)
+      (* the delivery side's shared arrays *)
+      let ddata = home.sh_recv.data in
+      let dwire = home.sh_recv.wire in
+      let dwlog = home.sh_recv.wlog in
+      let dcount = home.sh_recv.count in
+      (* Apply the churn events due this round before anything is
+         delivered: a node crashing at round r does not execute round r
+         and the frames already in flight to it (sent at r-1) are lost; an
+         edge going down at round r loses the frame it was carrying.
+         Frames a node sent before its crash are still delivered — the
+         crash kills the processor, not the wires.  Churn is applied
+         serially: it is rare, touches arbitrary shards, and must be
+         globally ordered before the halted-receiver minimum. *)
       let churn_dropped = ref 0 in
       let newly_crashed = ref 0 in
       let newly_arrived = ref 0 in
@@ -2413,17 +1819,17 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       | Some c ->
         let len = Array.length c.Churn.ops in
         let kill v =
-          let sh = shards.(shard_of.(v)) in
-          let dvb = sbuf_of sh ~delivery:true in
+          let sh = shard_for v in
+          let dv = sh.sh_recv in
           if dcount.(v) > 0 then begin
             for j = e.out_off.(v) to e.out_off.(v + 1) - 1 do
               let slot = e.rev_slot.(j) in
               let wv = dwire.(slot) in
               if wv >= 0 then begin
                 dwire.(slot) <- -1;
-                dvb.s_total <- dvb.s_total - 1;
-                dvb.s_words <- dvb.s_words - dwlog.(slot);
-                dvb.s_bits <- dvb.s_bits - (word_bits * wv);
+                dv.total <- dv.total - 1;
+                dv.words <- dv.words - dwlog.(slot);
+                dv.bits <- dv.bits - (word_bits * wv);
                 incr churn_dropped
               end
             done;
@@ -2454,6 +1860,8 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
               kill v
             end
           | Churn.Op_depart v ->
+            (* a graceful departure is mechanically a fail-stop — the node
+               leaves without ceremony — but accounted separately *)
             if not c.Churn.crashed.(v) then begin
               c.Churn.crashed.(v) <- true;
               incr newly_departed;
@@ -2465,7 +1873,10 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
               incr newly_arrived;
               if (not c.Churn.crashed.(v)) && not (a_halted states.(v))
               then begin
-                let sh = shards.(shard_of.(v)) in
+                (* the arrival round steps the node unconditionally, like
+                   the init round steps every live node: it enters Always
+                   mode until its own first hint says otherwise *)
+                let sh = shard_for v in
                 is_live.(v) <- true;
                 sh.sh_live.(sh.sh_live_len) <- v;
                 sh.sh_live_len <- sh.sh_live_len + 1;
@@ -2484,18 +1895,20 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
               let wv = dwire.(slot) in
               if wv >= 0 then begin
                 let u = e.out_dst.(slot) in
-                let sh = shards.(shard_of.(u)) in
-                let dvb = sbuf_of sh ~delivery:true in
+                let sh = shard_for u in
+                let dv = sh.sh_recv in
                 dwire.(slot) <- -1;
-                dvb.s_total <- dvb.s_total - 1;
-                dvb.s_words <- dvb.s_words - dwlog.(slot);
-                dvb.s_bits <- dvb.s_bits - (word_bits * wv);
+                dv.total <- dv.total - 1;
+                dv.words <- dv.words - dwlog.(slot);
+                dv.bits <- dv.bits - (word_bits * wv);
                 dcount.(u) <- dcount.(u) - 1;
                 incr churn_dropped;
                 sh.sh_hit <- true
               end
             end
           | Churn.Op_add slot ->
+            (* reserved capacity coming online: the slot was pre-downed at
+               reset, nothing can be in flight through it *)
             if c.Churn.edge_down.(slot) then begin
               c.Churn.edge_down.(slot) <- false;
               incr newly_inserted
@@ -2506,13 +1919,14 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
         if !live_unsorted then
           Array.iter (fun sh -> sort_prefix sh.sh_live sh.sh_live_len) shards
       | None -> ());
-      (* wire corruption, applied serially like churn: the decisions are
-         the same (cseed, round, slot, lane) hashes the sequential pass
-         makes, and each kill touches only the destination shard's
-         delivery buffer — bit-identity with the sequential executor is
-         per-slot exact *)
+      (* Deterministic wire corruption: a serial pass over the delivered
+         slots, after churn (a frame churn killed cannot also be
+         corrupted) and before the halted-receiver minimum (a corrupted
+         frame to a halted node is dropped, never delivered).  Every
+         decision is a pure (cseed, round, slot, lane) hash, so the pass
+         is iteration-order-free, and each kill touches only the
+         receiver's shard. *)
       let corrupt_dropped = ref 0 in
-      let corrupt_killed = ref false in
       (match corrupt with
       | Some (cs : Corrupt.spec) ->
         let inten = Corrupt.intensity cs ~round:r in
@@ -2523,23 +1937,26 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
           let tally = cs.Corrupt.tally in
           Array.iter
             (fun sh ->
-              let dvb = sbuf_of sh ~delivery:true in
-              for j = 0 to dvb.s_wlen - 1 do
-                let slot = dvb.s_written.(j) in
+              let dv = sh.sh_recv in
+              for j = 0 to dv.wlen - 1 do
+                let slot = dv.written.(j) in
                 let wv = dwire.(slot) in
                 if wv >= 0 then begin
                   let kill () =
                     dwire.(slot) <- -1;
-                    dvb.s_total <- dvb.s_total - 1;
-                    dvb.s_words <- dvb.s_words - dwlog.(slot);
-                    dvb.s_bits <- dvb.s_bits - (word_bits * wv);
+                    dv.total <- dv.total - 1;
+                    dv.words <- dv.words - dwlog.(slot);
+                    dv.bits <- dv.bits - (word_bits * wv);
                     dcount.(e.out_dst.(slot)) <- dcount.(e.out_dst.(slot)) - 1;
                     sh.sh_hit <- true;
-                    corrupt_killed := true;
                     incr corrupt_dropped
                   in
                   let h0 = Corrupt.decide ~cseed ~round:r ~slot ~lane:0 in
                   if tthr > 0 && Corrupt.hit h0 tthr && wv > 1 then begin
+                    (* truncation shortens the frame below what its
+                       logical words need: the decoder would raise
+                       Truncated_frame, so it is always detected — drop
+                       at the recv path *)
                     tally.Corrupt.injected <- tally.Corrupt.injected + 1;
                     tally.Corrupt.truncated <- tally.Corrupt.truncated + 1;
                     kill ()
@@ -2591,20 +2008,23 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       let live_snapshot = ref 0 in
       Array.iter
         (fun sh ->
-          this_round := !this_round + (sbuf_of sh ~delivery:true).s_total;
+          this_round := !this_round + sh.sh_recv.total;
           live_snapshot := !live_snapshot + sh.sh_live_len - sh.sh_crashed_live)
         shards;
       max_inflight := max !max_inflight !this_round;
       messages := !messages + !this_round;
+      (* The reference semantics raise at the first offending node in id
+         order; a halted receiver competes with live-node send violations.
+         [v_min] is the smallest halted node holding undeliverable mail. *)
       let v_min = ref (-1) in
-      if !churn_applied || !corrupt_killed then
-        (* churn can only remove candidates, but removing the minimum
+      if !churn_applied || !corrupt_dropped > 0 then
+        (* drops can only remove candidates, but removing the minimum
            exposes the next one: recompute from the surviving counts *)
         Array.iter
           (fun sh ->
-            let dvb = sbuf_of sh ~delivery:true in
-            for i = 0 to dvb.s_alen - 1 do
-              let v = dvb.s_active.(i) in
+            let dv = sh.sh_recv in
+            for i = 0 to dv.alen - 1 do
+              let v = dv.active.(i) in
               if (not is_live.(v)) && dcount.(v) > 0
                  && (!v_min < 0 || v < !v_min)
               then v_min := v
@@ -2622,7 +2042,7 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
       transition := false;
       Pool.run pool phase_step;
       (* violation resolution: the lexicographically smallest (node,
-         priority) is the one the sequential sweep would have raised *)
+         priority) is the one an ascending sweep raises first *)
       let vs = ref (-1) in
       for s = 0 to d - 1 do
         let sh = shards.(s) in
@@ -2654,34 +2074,33 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
               transition := true
             end)
           shards;
+      if instrumented then emit_events ~round:r ~limit:max_int ~owner:(-1);
+      Pool.run pool phase_exchange;
+      pending_next := 0;
+      live_total := 0;
+      Array.iter
+        (fun sh ->
+          pending_next := !pending_next + sh.sh_send.total;
+          live_total := !live_total + sh.sh_live_len)
+        shards;
       if instrumented then begin
-        emit_events ~round:r ~limit:max_int ~owner:(-1);
         (* merge the per-shard counters with the associative combine; the
-           whole-round fields (delivered, skipped, churn drops, crashes)
-           are patched in from the serial section's global view *)
+           whole-round fields (delivered, sent, skipped, churn drops,
+           crashes) are patched in from the serial sections' global
+           view *)
         let acc = ref (Sink.empty_round_info r) in
         Array.iter
           (fun sh ->
             acc :=
               Sink.combine_round_info !acc
                 {
-                  Sink.round = r;
-                  delivered = 0;
-                  delivered_words = sh.sh_delivered_words;
+                  (Sink.empty_round_info r) with
+                  Sink.delivered_words = sh.sh_delivered_words;
                   delivered_bits = sh.sh_delivered_bits;
                   receivers = sh.sh_receivers;
                   stepped = sh.sh_stepped;
-                  skipped = 0;
                   woken = sh.sh_woken;
-                  sent = sh.sh_emitted;
                   dropped = sh.sh_send_dropped;
-                  duplicated = 0;
-                  retransmits = 0;
-                  corrupted = 0;
-                  crashed = 0;
-                  arrived = 0;
-                  departed = 0;
-                  inserted = 0;
                 })
           shards;
         let agg = !acc in
@@ -2690,6 +2109,7 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
             agg with
             Sink.delivered = !this_round;
             skipped = !live_snapshot - agg.Sink.stepped;
+            sent = !pending_next;
             dropped = agg.Sink.dropped + !churn_dropped;
             corrupted = !corrupt_dropped;
             crashed = !newly_crashed;
@@ -2698,47 +2118,59 @@ let exec_sharded ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
             inserted = !newly_inserted;
           }
       end;
-      Pool.run pool phase_exchange;
-      pending_next := 0;
-      live_total := 0;
-      Array.iter
-        (fun sh ->
-          pending_next := !pending_next + (sbuf_of sh ~delivery:false).s_total;
-          live_total := !live_total + sh.sh_live_len)
-        shards;
       incr round
     done
   in
   Pool.with_pool ~domains:d body;
   e.running <- false;
+  e.dirty <- false;
   if instrumented then sink.on_finish ();
   (states, { rounds = !round; messages = !messages; max_inflight = !max_inflight })
 
 (* When [exec_emit] is called without [?domains] this reference supplies
    the default — the hook [kdom_cli --domains] threads parallelism through
    composite algorithms whose inner [Engine.run_emit] calls cannot be
-   reached syntactically.  1 = the sequential engine, the bit-exact
-   baseline. *)
+   reached syntactically.  Every domain count gives the same result. *)
 let default_domains = ref 1
 
-let exec_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
-    ?domains ?partition e algo =
+let exec_emit ?max_rounds ?max_words ?(sink = Sink.null) ?(degrade = false)
+    ?churn ?(guard = false) ?corrupt ?domains ?partition e algo =
   if e.running then
     invalid_arg "Engine.exec: engine already running (re-entrant call)";
   let domains = match domains with Some d -> d | None -> !default_domains in
   if domains < 1 then invalid_arg "Engine.exec: domains < 1";
+  (match churn with
+  | Some (c : Churn.t) ->
+    if Array.length c.Churn.crashed <> max 1 e.n
+       || Array.length c.Churn.edge_down <> max 1 e.ports
+    then invalid_arg "Engine.exec: churn compiled against a different engine";
+    Churn.reset c
+  | None -> ());
+  (match corrupt with
+  | Some (cs : Corrupt.spec) ->
+    Corrupt.validate cs;
+    cs.Corrupt.tally.Corrupt.injected <- 0;
+    cs.Corrupt.tally.Corrupt.detected <- 0;
+    cs.Corrupt.tally.Corrupt.truncated <- 0
+  | None -> ());
+  let plan = plan_for e ~domains partition in
+  (* corruption is only detectable with the guard word on every frame *)
+  let guard = guard || corrupt <> None in
+  let max_rounds =
+    match max_rounds with Some r -> r | None -> default_max_rounds e.n
+  in
+  let max_words =
+    match max_words with Some w -> w | None -> default_max_words e.n
+  in
   (* clear [running] on abnormal exit so the engine stays usable; [dirty]
-     stays set, forcing a buffer scrub on the next exec *)
+     stays set, forcing an arena scrub on the next exec *)
   try
-    if domains = 1 then
-      exec_unguarded ?max_rounds ?max_words ?sink ?degrade ?churn ?guard
-        ?corrupt e algo
-    else
-      exec_sharded ?max_rounds ?max_words ?sink ?degrade ?churn ?guard
-        ?corrupt ~domains ?partition e algo
+    exec_rounds ~max_rounds ~max_words ~sink ~degrade ~churn ~guard ~corrupt e
+      plan algo
   with exn ->
     e.running <- false;
     raise exn
+
 
 let run_emit ?max_rounds ?max_words ?sink ?degrade ?churn ?guard ?corrupt
     ?domains ?partition g algo =

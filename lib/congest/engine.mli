@@ -476,9 +476,9 @@ end
 (** Wire corruption: a deterministic model of a {e lying} network.  Frames
     in flight are garbled (bursts of bit flips on the packed wire words of
     the frame arena) or truncated; every decision is a pure hash of
-    [(cseed, delivery round, slot, lane)], so the sequential, sharded and
-    reference executors corrupt — and drop — exactly the same frames
-    regardless of iteration order.
+    [(cseed, delivery round, slot, lane)], so the engine at every domain
+    count and the reference simulator corrupt — and drop — exactly the
+    same frames regardless of iteration order.
 
     Passing [?corrupt] to [exec_emit]/[run_emit] forces the {!Codec} guard word onto
     every frame (as if [~guard:true]): the delivery pass re-verifies each
@@ -550,12 +550,12 @@ module Corrupt : sig
 end
 
 val default_domains : int ref
-(** The domain count [exec_emit] uses when [?domains] is not passed (initially
-    [1], the sequential engine).  A process-wide hook, not a tuning knob:
-    it lets a CLI flag thread parallelism through composite algorithms
-    whose inner [run_emit] calls cannot be reached syntactically.
-    Because sharded execution is bit-identical to sequential execution,
-    flipping it never changes any result. *)
+(** The domain count [exec_emit] uses when [?domains] is not passed
+    (initially [1]).  A process-wide hook, not a tuning knob: it lets a
+    CLI flag thread parallelism through composite algorithms whose inner
+    [run_emit] calls cannot be reached syntactically.  Because every
+    domain count is bit-identical, flipping it never changes any
+    result. *)
 
 val exec_emit :
   ?max_rounds:int ->
@@ -585,17 +585,27 @@ val exec_emit :
     [corrupt] (default none) applies a deterministic {!Corrupt} schedule
     to frames in flight; it implies [guard].
 
-    [domains] (default {!default_domains}) selects the execution core:
-    [1] is the sequential engine; [d > 1] partitions the nodes into [d]
-    shards stepped on [d] OCaml domains (the calling domain included),
-    with cross-shard frames exchanged deterministically at the round
-    barrier.  {b Sharded execution is bit-identical to sequential
-    execution}: same outputs, same stats, same sink events in the same
-    order, same violations with the same messages — the differential
-    property [test_engine_diff] checks for [d] ∈ {1, 2, 4}.  [partition]
-    (only meaningful with [domains > 1]) assigns each node a shard in
+    [domains] (default {!default_domains}) sets how many OCaml domains
+    (the calling domain included) step the nodes: one round loop
+    partitions the nodes into shards, one per domain, and exchanges
+    cross-shard frames deterministically at the round barrier; [1] is
+    its one-shard case.  {b Every domain count is bit-identical}: same
+    outputs, same stats, same sink events in the same order, same
+    violations with the same messages — the differential property
+    [test_engine_diff] checks for [d] ∈ {1, 2, 4}, each also against
+    {!Reference.run}.  [partition] assigns each node a shard in
     [0, domains); default is contiguous ranges.  Use
-    [Generators.shard_partition] for a degree-balanced assignment.
+    [Generators.shard_partition] for a degree-balanced assignment.  It is
+    validated at every domain count, one included ([Invalid_argument]
+    unless its length is the node count and every id is in
+    [0, domains)); the shard count is then its highest id plus one.
+
+    The engine keeps its working memory between execs: the frame arenas
+    and the one-domain shard are built by {!create}, and the last plan
+    for more domains (keyed by the count and the partition's contents)
+    on first use, so an exec on a reused engine allocates the states
+    array and a constant.  An exec that raises leaves the engine usable:
+    the next exec, at any domain count, scrubs what it left behind.
 
     With [domains > 1] the algorithm's [estep]/[ehalted]/[ewake]
     functions are called concurrently from several domains ([einit] stays

@@ -107,6 +107,15 @@ let shutdown t =
     t.workers <- [||]
   end
 
+(* A one-domain pool spawns nothing and never locks ([run] is a direct
+   call, [shutdown] a no-op), so one shared value serves every
+   one-domain caller without building a mutex and two condition
+   variables per run. *)
+let solo = create ~domains:1
+
 let with_pool ~domains f =
-  let t = create ~domains in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+  if domains = 1 then f solo
+  else begin
+    let t = create ~domains in
+    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+  end

@@ -29,4 +29,6 @@ val shutdown : t -> unit
 (** Join all workers.  Idempotent; the pool must not be [run] afterwards. *)
 
 val with_pool : domains:int -> (t -> 'a) -> 'a
-(** [with_pool ~domains f] wraps [create]/[shutdown] around [f]. *)
+(** [with_pool ~domains f] wraps [create]/[shutdown] around [f].  With
+    [domains = 1] it passes one shared pool, created once, since a
+    one-domain pool has no workers to join. *)

@@ -272,8 +272,8 @@ let scenario ?(arrivals = 0) ?(insertions = 0) ?(cuts = 0) ?(crashes = 0)
   Rng.shuffle rng node_perm;
   if crashes + departs > n0 - 1 then
     invalid_arg "Dyn_dom.scenario: too many crashes and departures";
-  let crash_nodes = Array.to_list (Array.sub node_perm 0 crashes) in
-  let depart_nodes = Array.to_list (Array.sub node_perm crashes departs) in
+  let crash_ids = Array.to_list (Array.sub node_perm 0 crashes) in
+  let depart_ids = Array.to_list (Array.sub node_perm crashes departs) in
   let eids = Array.init m0 Fun.id in
   Rng.shuffle rng eids;
   if cuts > m0 then invalid_arg "Dyn_dom.scenario: more cuts than base edges";
@@ -303,7 +303,7 @@ let scenario ?(arrivals = 0) ?(insertions = 0) ?(cuts = 0) ?(crashes = 0)
   let script =
     Faults.churn_script union ~seed:(seed + 1) ~bursts ~quiescence
       ~arrivals:arrival_nodes ~insertions:insert_pairs ~cuts:cut_pairs
-      ~crashes:crash_nodes ~departs:depart_nodes ()
+      ~crashes:crash_ids ~departs:depart_ids ()
   in
   {
     union;

@@ -321,12 +321,11 @@ let prop_sparse_round_consistency =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded executor: [run ~domains:d] must be bit-identical to the
-   sequential engine — same final states, same stats, same sink round
-   records, and the same on_message event stream in the same order — for
-   every domain count.  Combined with the groups above (sequential engine =
-   reference), this pins the sharded engine round-for-round to
-   [Reference.run] transitively. *)
+(* Domain counts: [run ~domains:d] must be bit-identical to [~domains:1] —
+   same final states, same stats, same sink round records, and the same
+   on_message event stream in the same order — for every domain count.
+   Every count, one included, is also diffed against [Reference.run]
+   directly, so no leg depends on another engine run being right. *)
 
 let domain_counts = [ 1; 2; 4 ]
 
@@ -364,6 +363,34 @@ let sharded_diff what ?partition ~domains ~max_words g mk =
   if msgs1 <> msgs2 then
     Alcotest.failf "%s: on_message event streams differ" what
 
+(* The independent leg: the engine at [domains] against the reference —
+   states, stats, the on_message stream, and the round records in the
+   projection the sparse scheduler must agree on (the reference steps
+   every live node, so only stepped + skipped is comparable). *)
+let reference_diff what ?partition ~domains ~max_words g mk =
+  let se, re = record_sink () in
+  let e_states, e_stats =
+    Engine.run_emit ~max_words ~sink:se ~domains ?partition g (mk ())
+  in
+  let sr, rr = record_sink () in
+  let r_states, r_stats = Reference.run ~max_words ~sink:sr g (mk ()) in
+  let what = Printf.sprintf "%s (domains=%d) vs reference" what domains in
+  if e_states <> r_states then Alcotest.failf "%s: final states differ" what;
+  check_stats what e_stats r_stats;
+  let e_rounds, e_msgs = re () and r_rounds, r_msgs = rr () in
+  Alcotest.(check int) (what ^ ": round record count") (List.length r_rounds)
+    (List.length e_rounds);
+  List.iter2
+    (fun (ei : Engine.Sink.round_info) (ri : Engine.Sink.round_info) ->
+      let project (i : Engine.Sink.round_info) =
+        { i with stepped = i.stepped + i.skipped; skipped = 0; woken = 0 }
+      in
+      if project ei <> project ri then
+        Alcotest.failf "%s: round %d records differ" what ri.round)
+    e_rounds r_rounds;
+  if e_msgs <> r_msgs then
+    Alcotest.failf "%s: on_message event streams differ" what
+
 let prop_sharded_bit_identical =
   QCheck2.Test.make
     ~name:"sharded engine = sequential engine, domains in {1,2,4}" ~count:12
@@ -373,20 +400,24 @@ let prop_sharded_bit_identical =
         (fun (fam, g) ->
           List.iter
             (fun domains ->
-              sharded_diff ("bfs/" ^ fam) ~domains
-                ~max_words:Kdom.Bfs_tree.max_words g (fun () ->
-                  Kdom.Bfs_tree.algorithm g ~root:0);
-              sharded_diff ("leader/" ^ fam) ~domains
-                ~max_words:Kdom.Leader.max_words g (fun () ->
-                  Kdom.Leader.algorithm g);
-              sharded_diff ("smc/" ^ fam) ~domains
-                ~max_words:Kdom.Simple_mst_congest.max_words g (fun () ->
-                  Kdom.Simple_mst_congest.algorithm g ~k:2))
+              let both what ~max_words mk =
+                sharded_diff what ~domains ~max_words g mk;
+                reference_diff what ~domains ~max_words g mk
+              in
+              both ("bfs/" ^ fam) ~max_words:Kdom.Bfs_tree.max_words
+                (fun () -> Kdom.Bfs_tree.algorithm g ~root:0);
+              both ("leader/" ^ fam) ~max_words:Kdom.Leader.max_words
+                (fun () -> Kdom.Leader.algorithm g);
+              both ("smc/" ^ fam) ~max_words:Kdom.Simple_mst_congest.max_words
+                (fun () -> Kdom.Simple_mst_congest.algorithm g ~k:2))
             domain_counts;
           (* a degree-balanced (non-contiguous) partition must behave the
              same; 3 shards so cross-shard frames are guaranteed *)
           let partition = Generators.shard_partition g ~shards:3 in
           sharded_diff ("bfs-lpt/" ^ fam) ~partition ~domains:3
+            ~max_words:Kdom.Bfs_tree.max_words g (fun () ->
+              Kdom.Bfs_tree.algorithm g ~root:0);
+          reference_diff ("bfs-lpt/" ^ fam) ~partition ~domains:3
             ~max_words:Kdom.Bfs_tree.max_words g (fun () ->
               Kdom.Bfs_tree.algorithm g ~root:0))
         (graph_families seed);
@@ -395,21 +426,29 @@ let prop_sharded_bit_identical =
       let p = Generators.path ~rng:(Rng.create seed) (2 + (seed mod 30)) in
       List.iter
         (fun domains ->
-          sharded_diff "token/path" ~domains ~max_words:4 p (fun () ->
+          let both what mk =
+            sharded_diff what ~domains ~max_words:4 p mk;
+            reference_diff what ~domains ~max_words:4 p mk
+          in
+          both "token/path" (fun () ->
               token_algorithm ~wake:(fun _ -> Engine.OnMessage) p);
-          sharded_diff "flood/path" ~domains ~max_words:4 p (fun () ->
-              flood_algorithm ~wake:(fun _ -> Engine.Next) p
-                (2 + (seed mod 4))))
+          both "flood/path" (fun () ->
+              flood_algorithm ~wake:(fun _ -> Engine.Next) p (2 + (seed mod 4))))
         domain_counts;
       true)
 
 (* Violations must be raised identically at every domain count, including
-   which of several concurrent offenders wins (the sequential sweep's
-   first-in-id-order one). *)
+   which of several concurrent offenders wins (the first in id order), and
+   identically to the reference. *)
 let test_sharded_violations_agree () =
   let g = Generators.path ~rng:(Rng.create 11) 6 in
   let outcome domains algo =
     match Engine.run_emit ~domains g algo with
+    | _ -> Ok ()
+    | exception Engine.Congestion_violation m -> Error m
+  in
+  let reference algo =
+    match Reference.run g algo with
     | _ -> Ok ()
     | exception Engine.Congestion_violation m -> Error m
   in
@@ -447,8 +486,95 @@ let test_sharded_violations_agree () =
           | _ ->
               Alcotest.failf "%s: expected violations at domains=%d" name
                 domains)
-        [ 2; 4 ])
+        [ 2; 4 ];
+      let want = reference (mk ()) in
+      List.iter
+        (fun domains ->
+          match (want, outcome domains (mk ())) with
+          | Error mr, Error mg ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s: reference violation at domains=%d" name
+                   domains)
+                mr mg
+          | _ ->
+              Alcotest.failf "%s: expected the reference's violation at \
+                              domains=%d" name domains)
+        domain_counts)
     cases
+
+(* The partition is validated against the requested domain count at every
+   count, one included, before the count is clamped to the node count. *)
+let test_partition_validated () =
+  let g = Generators.path ~rng:(Rng.create 12) 3 in
+  let flood () = flood_algorithm g 3 in
+  (match Engine.run_emit ~domains:1 ~partition:[| 9; 9; 9; 9; 9; 9; 9 |] g (flood ()) with
+  | _ -> Alcotest.fail "domains=1 accepted a partition of the wrong length"
+  | exception Invalid_argument _ -> ());
+  (match Engine.run_emit ~domains:1 ~partition:[| 0; 1; 0 |] g (flood ()) with
+  | _ -> Alcotest.fail "domains=1 accepted shard id 1"
+  | exception Invalid_argument _ -> ());
+  (match Engine.run_emit ~domains:2 ~partition:[| 0; 2; 1 |] g (flood ()) with
+  | _ -> Alcotest.fail "domains=2 accepted shard id 2"
+  | exception Invalid_argument _ -> ());
+  (* valid for 4 shards although the graph has only 3 nodes *)
+  reference_diff "flood/sparse-ids" ~partition:[| 0; 1; 3 |] ~domains:4
+    ~max_words:4 g flood
+
+(* Engine reuse after an aborted run: a violation or a round limit leaves
+   frames in the shared arenas and state in the shards, and the next run
+   on the same engine, at the same or another domain count, must not see
+   any of it. *)
+let test_reuse_after_abort () =
+  let g = Generators.grid ~rng:(Rng.create 13) ~rows:6 ~cols:7 in
+  let bad = Graph.n g / 2 in
+  (* every node floods; at round 2 [bad] sends a second frame over its
+     first edge, while round-1 frames are still in flight *)
+  let violating : int Engine.ealgorithm =
+    {
+      Engine.einit = (fun _ _ -> 0);
+      estep =
+        (fun _ ~round ~node st _ em ->
+          Engine.Emit.broadcast1 em round;
+          if round = 2 && node = bad then
+            Engine.Emit.frame1 em ~dst:(Graph.neighbor g node 0) 0;
+          st + 1);
+      ehalted = (fun st -> st > 5);
+      ewake = Engine.always;
+    }
+  in
+  let clean () = flood_algorithm g 4 in
+  let s, _ = record_sink () in
+  let want_states, want_stats = Engine.run_emit ~sink:s g (clean ()) in
+  let aborts =
+    [
+      ( "violation",
+        fun e domains ->
+          match Engine.exec_emit ~domains e violating with
+          | _ -> Alcotest.fail "expected a violation"
+          | exception Engine.Congestion_violation _ -> () );
+      ( "round limit",
+        fun e domains ->
+          match Engine.exec_emit ~max_rounds:1 ~domains e (clean ()) with
+          | _ -> Alcotest.fail "expected the round limit"
+          | exception Engine.Round_limit_exceeded _ -> () );
+    ]
+  in
+  List.iter
+    (fun (what, abort) ->
+      List.iter
+        (fun (d_abort, d_clean) ->
+          let e = Engine.create g in
+          abort e d_abort;
+          let states, stats = Engine.exec_emit ~domains:d_clean e (clean ()) in
+          let what =
+            Printf.sprintf "%s at domains=%d, then domains=%d" what d_abort
+              d_clean
+          in
+          if states <> want_states then
+            Alcotest.failf "%s: states differ from a fresh engine" what;
+          check_stats what stats want_stats)
+        [ (1, 1); (1, 2); (2, 1); (2, 2) ])
+    aborts
 
 (* Satellite: Sink.counters is merge-safe — teeing two counter sinks makes
    both observe exactly what a single sink observes, and combine_round_info
@@ -595,6 +721,10 @@ let () =
         :: [
              Alcotest.test_case "violations agree across domains" `Quick
                test_sharded_violations_agree;
+             Alcotest.test_case "partition validated at every count" `Quick
+               test_partition_validated;
+             Alcotest.test_case "engine reuse after an aborted run" `Quick
+               test_reuse_after_abort;
              Alcotest.test_case "counters merge-safe" `Quick
                test_counters_merge_safe;
            ] );
