@@ -34,8 +34,8 @@ let lift_level g (prev : level) ~k =
   let q, _witnesses = Cluster.quotient_graph prev.partition in
   (* the quotient has unit weights; FastDOM_G needs distinct ones *)
   let q_distinct =
-    Graph.of_edge_array ~n:(Graph.n q)
-      (Array.map (fun (e : Graph.edge) -> (e.u, e.v, e.id + 1)) (Graph.edges q))
+    Graph.of_columns ~n:(Graph.n q) (Array.copy (Graph.lo q)) (Array.copy (Graph.hi q))
+      (Array.init (Graph.m q) (fun id -> id + 1))
   in
   let dom = Fastdom_graph.run q_distinct ~k in
   let prev_clusters = Array.of_list prev.partition.clusters in

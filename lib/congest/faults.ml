@@ -277,7 +277,7 @@ let churn_script g ~seed ?(bursts = 4) ?(quiescence = 8) ~arrivals ~insertions
   let check_edge what (a, b) =
     check_node what a;
     check_node what b;
-    if Option.is_none (Graph.find_edge g a b) then
+    if Graph.port g a b < 0 then
       invalid_arg
         (Printf.sprintf
            "Faults.churn_script: %s (%d, %d) not an edge of the union graph"

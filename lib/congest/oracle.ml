@@ -196,7 +196,7 @@ let bfs_tree g ~root ~parent ~depth =
         let p = parent.(v) in
         if p < 0 || p >= n then add (fail check "node %d: parent %d invalid" v p)
         else begin
-          if Option.is_none (Graph.find_edge g v p) then
+          if Graph.port g v p < 0 then
             add (fail check "node %d: parent %d is not a neighbor" v p);
           if p >= 0 && p < n && depth.(v) <> dist.(p) + 1 then
             add
@@ -216,14 +216,12 @@ let proper_coloring g ~palette colors =
       if c < 0 || c >= palette then
         fs := fail check "node %d: color %d outside [0, %d)" v c palette :: !fs)
     colors;
-  Array.iter
-    (fun (e : Graph.edge) ->
-      if colors.(e.u) = colors.(e.v) then
-        fs :=
-          fail check "edge (%d, %d): both endpoints colored %d" e.u e.v
-            colors.(e.u)
-          :: !fs)
-    (Graph.edges g);
+  let lo = Graph.lo g and hi = Graph.hi g in
+  for id = 0 to Graph.m g - 1 do
+    let u = lo.(id) and v = hi.(id) in
+    if colors.(u) = colors.(v) then
+      fs := fail check "edge (%d, %d): both endpoints colored %d" u v colors.(u) :: !fs
+  done;
   List.concat (List.rev !fs)
 
 let agreement ~expected values =
@@ -317,10 +315,11 @@ let inter_fragment_mst g ~fragment_of selected =
     invalid_arg "Oracle: MST oracles require distinct weights";
   let nf = 1 + Array.fold_left max (-1) fragment_of in
   let candidates =
-    Array.to_list (Graph.edges g)
-    |> List.filter_map (fun (e : Graph.edge) ->
-           let fu = fragment_of.(e.u) and fv = fragment_of.(e.v) in
-           if fu <> fv then Some (fu, fv, e.w, e.id) else None)
+    let lo = Graph.lo g and hi = Graph.hi g and ws = Graph.weights g in
+    List.init (Graph.m g) Fun.id
+    |> List.filter_map (fun id ->
+           let fu = fragment_of.(lo.(id)) and fv = fragment_of.(hi.(id)) in
+           if fu <> fv then Some (fu, fv, ws.(id), id) else None)
     |> List.sort (fun (_, _, w1, _) (_, _, w2, _) -> compare w1 w2)
   in
   let expected = List.sort compare (Mst.mst_of_multigraph ~n:nf candidates) in

@@ -72,7 +72,7 @@ let run ?max_rounds ?max_words ?(sink = Engine.Sink.null) ?churn
     done;
     !ok
   in
-  let is_neighbor v u = Option.is_some (Graph.find_edge g v u) in
+  let is_neighbor v u = Graph.port g v u >= 0 in
   while not (all_halted ()) do
     if !round > max_rounds then raise (Engine.Round_limit_exceeded !round);
     (* churn is applied before delivery, with the engine's semantics: a

@@ -73,7 +73,7 @@ let validate_plan g plan =
     else begin
       if p < 0 || p >= n then
         invalid_arg (Printf.sprintf "Repair: parent of %d out of range" v);
-      if Option.is_none (Graph.find_edge g v p) then
+      if Graph.port g v p < 0 then
         invalid_arg (Printf.sprintf "Repair: tree edge (%d, %d) is not a graph edge" v p);
       if plan.depth.(v) <> plan.depth.(p) + 1 then
         invalid_arg (Printf.sprintf "Repair: depth of %d not parent depth + 1" v);

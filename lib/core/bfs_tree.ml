@@ -203,7 +203,7 @@ let of_parents g ~root ~parent ~depth =
     (fun v p ->
       if v <> root then begin
         if p < 0 || p >= n || depth.(v) <> depth.(p) + 1
-           || Option.is_none (Graph.find_edge g v p) then
+           || Graph.port g v p < 0 then
           invalid_arg "Bfs_tree.of_parents: inconsistent parent links";
         children.(p) <- v :: children.(p)
       end)

@@ -137,14 +137,14 @@ let induced g members =
   let members = Array.of_list members in
   let local = Hashtbl.create (Array.length members) in
   Array.iteri (fun i v -> Hashtbl.replace local v i) members;
+  let lo = Graph.lo g and hi = Graph.hi g and ws = Graph.weights g in
   let edges = ref [] in
-  Array.iter
-    (fun (e : Graph.edge) ->
-      match (Hashtbl.find_opt local e.u, Hashtbl.find_opt local e.v) with
-      | Some a, Some b -> edges := (a, b, e.w) :: !edges
-      | _ -> ())
-    (Graph.edges g);
-  (Graph.of_edges ~n:(Array.length members) (List.rev !edges), members)
+  for id = Graph.m g - 1 downto 0 do
+    match (Hashtbl.find_opt local lo.(id), Hashtbl.find_opt local hi.(id)) with
+    | Some a, Some b -> edges := (a, b, ws.(id)) :: !edges
+    | _ -> ()
+  done;
+  (Graph.of_edges ~n:(Array.length members) !edges, members)
 
 let quotient_graph p =
   let owner = cluster_of_array p in
@@ -152,16 +152,16 @@ let quotient_graph p =
   let seen = Hashtbl.create 16 in
   let pairs = ref [] in
   let witnesses = ref [] in
-  Array.iter
-    (fun (e : Graph.edge) ->
-      let a = owner.(e.u) and b = owner.(e.v) in
-      if a <> b then begin
-        let key = if a < b then (a, b) else (b, a) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.add seen key ();
-          pairs := (fst key, snd key, 1) :: !pairs;
-          witnesses := (e.u, e.v) :: !witnesses
-        end
-      end)
-    (Graph.edges p.host);
+  let lo = Graph.lo p.host and hi = Graph.hi p.host in
+  for id = 0 to Graph.m p.host - 1 do
+    let a = owner.(lo.(id)) and b = owner.(hi.(id)) in
+    if a <> b then begin
+      let key = if a < b then (a, b) else (b, a) in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        pairs := (fst key, snd key, 1) :: !pairs;
+        witnesses := (lo.(id), hi.(id)) :: !witnesses
+      end
+    end
+  done;
   (Graph.of_edges ~n:k (List.rev !pairs), List.rev !witnesses)

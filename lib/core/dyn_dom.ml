@@ -34,18 +34,14 @@ let induced_surviving g ~down members =
   let members = Array.of_list members in
   let local = Hashtbl.create (Array.length members) in
   Array.iteri (fun i v -> Hashtbl.replace local v i) members;
+  let lo = Graph.lo g and hi = Graph.hi g and ws = Graph.weights g in
   let edges = ref [] in
-  Array.iter
-    (fun (e : Graph.edge) ->
-      match (Hashtbl.find_opt local e.Graph.u, Hashtbl.find_opt local e.Graph.v)
-      with
-      | Some a, Some b
-        when not
-               (Hashtbl.mem dead
-                  (min e.Graph.u e.Graph.v, max e.Graph.u e.Graph.v)) ->
-        edges := (a, b, e.Graph.w) :: !edges
-      | _ -> ())
-    (Graph.edges g);
+  for id = 0 to Graph.m g - 1 do
+    match (Hashtbl.find_opt local lo.(id), Hashtbl.find_opt local hi.(id)) with
+    | Some a, Some b when not (Hashtbl.mem dead (lo.(id), hi.(id))) ->
+      edges := (a, b, ws.(id)) :: !edges
+    | _ -> ()
+  done;
   (Graph.of_edges ~n:(Array.length members) !edges, members)
 
 let rebuild_cluster g ~k ~plan ~members ~down =
@@ -143,23 +139,17 @@ let recompute_rounds g ~k ~alive ~down =
   else begin
     let idx = Hashtbl.create nn in
     Array.iteri (fun i v -> Hashtbl.replace idx v i) live;
+    let lo = Graph.lo g and hi = Graph.hi g in
     let edges = ref [] in
     let ne = ref 0 in
-    Array.iter
-      (fun (e : Graph.edge) ->
-        if
-          alive.(e.Graph.u) && alive.(e.Graph.v)
-          && not
-               (Hashtbl.mem dead_edge
-                  (min e.Graph.u e.Graph.v, max e.Graph.u e.Graph.v))
-        then begin
-          incr ne;
-          (* fresh distinct weights: pricing only needs the topology *)
-          edges :=
-            (Hashtbl.find idx e.Graph.u, Hashtbl.find idx e.Graph.v, !ne)
-            :: !edges
-        end)
-      (Graph.edges g);
+    for id = 0 to Graph.m g - 1 do
+      let u = lo.(id) and v = hi.(id) in
+      if alive.(u) && alive.(v) && not (Hashtbl.mem dead_edge (u, v)) then begin
+        incr ne;
+        (* fresh distinct weights: pricing only needs the topology *)
+        edges := (Hashtbl.find idx u, Hashtbl.find idx v, !ne) :: !edges
+      end
+    done;
     let sg = Graph.of_edges ~n:nn !edges in
     let comp, ncomp = Traversal.components sg in
     let members = Array.make ncomp [] in
@@ -211,18 +201,12 @@ let scenario ?(arrivals = 0) ?(insertions = 0) ?(cuts = 0) ?(crashes = 0)
   let n_union = n0 + arrivals in
   (* base edges keep their topology; weights are re-drawn over the union
      so every edge id gets a distinct weight *)
-  let union_pairs = ref [] in
-  Array.iter
-    (fun (e : Graph.edge) -> union_pairs := (e.Graph.u, e.Graph.v) :: !union_pairs)
-    (Graph.edges base);
-  let union_pairs = ref (List.rev !union_pairs) in
+  let lo = Graph.lo base and hi = Graph.hi base in
+  let union_pairs = ref (List.init m0 (fun id -> (lo.(id), hi.(id)))) in
   let have = Hashtbl.create (m0 + insertions) in
-  Array.iter
-    (fun (e : Graph.edge) ->
-      Hashtbl.replace have
-        (min e.Graph.u e.Graph.v, max e.Graph.u e.Graph.v)
-        ())
-    (Graph.edges base);
+  for id = 0 to m0 - 1 do
+    Hashtbl.replace have (lo.(id), hi.(id)) ()
+  done;
   (* arriving nodes: attach each to one or two distinct existing nodes *)
   let arrival_nodes = ref [] in
   for i = 0 to arrivals - 1 do

@@ -15,17 +15,17 @@ let quotient g clusters =
   Array.iteri (fun i c -> List.iter (fun v -> owner.(v) <- i) c.members) clusters;
   let seen = Hashtbl.create 16 in
   let pairs = ref [] in
-  Array.iter
-    (fun (e : Graph.edge) ->
-      let a = owner.(e.u) and b = owner.(e.v) in
-      if a >= 0 && b >= 0 && a <> b then begin
-        let key = if a < b then (a, b) else (b, a) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.add seen key ();
-          pairs := (fst key, snd key, 1) :: !pairs
-        end
-      end)
-    (Graph.edges g);
+  let lo = Graph.lo g and hi = Graph.hi g in
+  for id = 0 to Graph.m g - 1 do
+    let a = owner.(lo.(id)) and b = owner.(hi.(id)) in
+    if a >= 0 && b >= 0 && a <> b then begin
+      let key = if a < b then (a, b) else (b, a) in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        pairs := (fst key, snd key, 1) :: !pairs
+      end
+    end
+  done;
   Graph.of_edges ~n:(Array.length clusters) !pairs
 
 let isolated q =

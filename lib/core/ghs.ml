@@ -11,6 +11,7 @@ let run g =
   if not (Graph.has_distinct_weights g) then
     invalid_arg "Ghs.run: edge weights must be distinct";
   let n = Graph.n g in
+  let lo = Graph.lo g and hi = Graph.hi g and ws = Graph.weights g in
   let ledger = Ledger.create () in
   let fragments =
     ref (Array.init n (fun v -> { root = v; members = [ v ]; tree_edges = []; depth = 0 }))
@@ -23,27 +24,26 @@ let run g =
     let nfrag = Array.length frags in
     let depth_max = Array.fold_left (fun acc f -> max acc f.depth) 0 frags in
     Ledger.charge ledger (Printf.sprintf "phase %d" !phase) ((2 * depth_max) + 4);
-    let mwoe : Graph.edge option array = Array.make nfrag None in
-    Array.iter
-      (fun (e : Graph.edge) ->
-        let fu = frag_of.(e.u) and fv = frag_of.(e.v) in
-        if fu <> fv then begin
-          let update f =
-            match mwoe.(f) with
-            | Some (b : Graph.edge) when b.w <= e.w -> ()
-            | _ -> mwoe.(f) <- Some e
-          in
-          update fu;
-          update fv
-        end)
-      (Graph.edges g);
+    (* minimum-weight outgoing edge id per fragment, -1 for none *)
+    let mwoe = Array.make nfrag (-1) in
+    for id = 0 to Graph.m g - 1 do
+      let fu = frag_of.(lo.(id)) and fv = frag_of.(hi.(id)) in
+      if fu <> fv then begin
+        let update f =
+          let b = mwoe.(f) in
+          if b < 0 || ws.(b) > ws.(id) then mwoe.(f) <- id
+        in
+        update fu;
+        update fv
+      end
+    done;
     let uf = Union_find.create nfrag in
     Array.iteri
-      (fun f -> function
-        | Some (e : Graph.edge) ->
-          let fu = frag_of.(e.u) and fv = frag_of.(e.v) in
+      (fun f id ->
+        if id >= 0 then begin
+          let fu = frag_of.(lo.(id)) and fv = frag_of.(hi.(id)) in
           ignore (Union_find.union uf f (if fu = f then fv else fu))
-        | None -> ())
+        end)
       mwoe;
     let groups = Hashtbl.create 16 in
     for f = 0 to nfrag - 1 do
@@ -60,14 +60,12 @@ let run g =
             let mutual = ref (-1) in
             List.iter
               (fun f ->
-                match mwoe.(f) with
-                | Some (e : Graph.edge) ->
-                  let fu = frag_of.(e.u) and fv = frag_of.(e.v) in
+                let id = mwoe.(f) in
+                if id >= 0 then begin
+                  let fu = frag_of.(lo.(id)) and fv = frag_of.(hi.(id)) in
                   let partner = if fu = f then fv else fu in
-                  (match mwoe.(partner) with
-                  | Some (e' : Graph.edge) when e'.id = e.id -> mutual := max e.u e.v
-                  | _ -> ())
-                | None -> ())
+                  if mwoe.(partner) = id then mutual := hi.(id)
+                end)
               group;
             if !mutual = -1 then invalid_arg "Ghs: merge group without a mutual edge";
             !mutual
@@ -75,8 +73,8 @@ let run g =
           let members = List.concat_map (fun f -> frags.(f).members) group in
           let inherited = List.concat_map (fun f -> frags.(f).tree_edges) group in
           let chosen =
-            List.filter_map (fun f -> mwoe.(f)) group
-            |> List.sort_uniq (fun (a : Graph.edge) b -> compare a.id b.id)
+            List.filter_map (fun f -> if mwoe.(f) >= 0 then Some mwoe.(f) else None) group
+            |> List.sort_uniq compare |> List.map (Graph.edge g)
           in
           let tree_edges = inherited @ chosen in
           let depth = Simple_mst.tree_depth root members tree_edges in

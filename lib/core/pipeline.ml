@@ -96,9 +96,10 @@ let algorithm ?(eliminate_cycles = true) g ~(bfs : Bfs_tree.info) ~fragment_of =
         | t when t = tag_frag ->
           let nfrag = Codec.get rd in
           if nfrag <> st.frag then begin
-            match Graph.find_edge g node u with
-            | Some e -> Hashtbl.replace st.q e.id (st.frag, nfrag, e.w)
-            | None -> assert false
+            let j = Graph.port g node u in
+            assert (j >= 0);
+            let id = (Graph.edge_ids g).(j) in
+            Hashtbl.replace st.q id (st.frag, nfrag, (Graph.weights g).(id))
           end
         | _ -> invalid_arg "Pipeline: unexpected tag at round 1"
       done

@@ -58,6 +58,7 @@ let run ?trace g ~k =
   if not (Graph.has_distinct_weights g) then
     invalid_arg "Simple_mst.run: edge weights must be distinct";
   let n = Graph.n g in
+  let lo = Graph.lo g and hi = Graph.hi g and ws = Graph.weights g in
   let ledger = Ledger.create () in
   let phases = phases_for k in
   let fragments =
@@ -71,31 +72,31 @@ let run ?trace g ~k =
     let frags = !fragments in
     let nf = Array.length frags in
     let active = Array.map (fun f -> f.depth <= cap) frags in
-    (* minimum-weight outgoing edge of every active fragment *)
-    let mwoe : Graph.edge option array = Array.make nf None in
-    Array.iter
-      (fun (e : Graph.edge) ->
-        let fu = frag_of.(e.u) and fv = frag_of.(e.v) in
-        if fu <> fv then begin
-          let update f =
-            if active.(f) then
-              match mwoe.(f) with
-              | Some (b : Graph.edge) when b.w <= e.w -> ()
-              | _ -> mwoe.(f) <- Some e
-          in
-          update fu;
-          update fv
-        end)
-      (Graph.edges g);
+    (* minimum-weight outgoing edge id of every active fragment, -1 for
+       none; the first of equal weights in id order wins *)
+    let mwoe = Array.make nf (-1) in
+    for id = 0 to Graph.m g - 1 do
+      let fu = frag_of.(lo.(id)) and fv = frag_of.(hi.(id)) in
+      if fu <> fv then begin
+        let update f =
+          if active.(f) then begin
+            let b = mwoe.(f) in
+            if b < 0 || ws.(b) > ws.(id) then mwoe.(f) <- id
+          end
+        in
+        update fu;
+        update fv
+      end
+    done;
     (* merge groups: weak components of the wish-pointer graph *)
     let uf = Union_find.create nf in
     Array.iteri
-      (fun f -> function
-        | Some (e : Graph.edge) ->
-          let fu = frag_of.(e.u) and fv = frag_of.(e.v) in
+      (fun f id ->
+        if id >= 0 then begin
+          let fu = frag_of.(lo.(id)) and fv = frag_of.(hi.(id)) in
           let target = if fu = f then fv else fu in
           ignore (Union_find.union uf f target)
-        | None -> ())
+        end)
       mwoe;
     (* gather groups *)
     let groups = Hashtbl.create 16 in
@@ -111,7 +112,7 @@ let run ?trace g ~k =
         | _ ->
           (* the new root: the unique sink (a fragment with no wish), or the
              higher-id endpoint of the unique mutually chosen edge *)
-          let sinks = List.filter (fun f -> mwoe.(f) = None) group in
+          let sinks = List.filter (fun f -> mwoe.(f) < 0) group in
           let root =
             match sinks with
             | [ s ] -> frags.(s).root
@@ -119,15 +120,12 @@ let run ?trace g ~k =
               let mutual = ref (-1) in
               List.iter
                 (fun f ->
-                  match mwoe.(f) with
-                  | Some (e : Graph.edge) ->
-                    let fu = frag_of.(e.u) and fv = frag_of.(e.v) in
+                  let id = mwoe.(f) in
+                  if id >= 0 then begin
+                    let fu = frag_of.(lo.(id)) and fv = frag_of.(hi.(id)) in
                     let partner = if fu = f then fv else fu in
-                    (match mwoe.(partner) with
-                    | Some (e' : Graph.edge) when e'.id = e.id ->
-                      mutual := max e.u e.v
-                    | _ -> ())
-                  | None -> ())
+                    if mwoe.(partner) = id then mutual := hi.(id)
+                  end)
                 group;
               if !mutual = -1 then
                 invalid_arg "Simple_mst: merge group without sink or mutual edge";
@@ -137,8 +135,8 @@ let run ?trace g ~k =
           let members = List.concat_map (fun f -> frags.(f).members) group in
           let inherited = List.concat_map (fun f -> frags.(f).tree_edges) group in
           let chosen =
-            List.filter_map (fun f -> mwoe.(f)) group
-            |> List.sort_uniq (fun (a : Graph.edge) b -> compare a.id b.id)
+            List.filter_map (fun f -> if mwoe.(f) >= 0 then Some mwoe.(f) else None) group
+            |> List.sort_uniq compare |> List.map (Graph.edge g)
           in
           let tree_edges = inherited @ chosen in
           let depth = tree_depth root members tree_edges in

@@ -249,7 +249,8 @@ let algorithm g ~k : state Engine.ealgorithm =
     let st =
       if r = fragid_at + 1 && st.active && not st.classified then begin
         let own_min = ref None in
-        Graph.iter_neighbors g node (fun u (e : Graph.edge) ->
+        let ws = Graph.weights g in
+        Graph.iter_neighbors g node (fun u id ->
           let same =
             match List.assoc_opt u st.fragids with
             | Some id -> id = st.frag_id
@@ -257,8 +258,8 @@ let algorithm g ~k : state Engine.ealgorithm =
           in
           if not same then
             match !own_min with
-            | Some (w, _) when w <= e.w -> ()
-            | _ -> own_min := Some (e.w, u));
+            | Some (w, _) when w <= ws.(id) -> ()
+            | _ -> own_min := Some (ws.(id), u));
         let best_w, best_owner =
           match !own_min with Some (w, _) -> (w, -2) | None -> (max_int, -2)
         in

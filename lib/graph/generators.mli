@@ -6,7 +6,11 @@
     tree families that stress depth/branching extremes, and general-graph
     families with controllable diameter (the quantity that decides who wins
     in Theorem 5.6).  All edge weights are random and pairwise distinct, so
-    the MST is unique; all randomness comes from an explicit {!Rng.t}. *)
+    the MST is unique; all randomness comes from an explicit {!Rng.t}.
+
+    Every generator writes flat int edge columns and hands them to
+    {!Graph.of_columns}: no edge list, tuple or record is built on the
+    way. *)
 
 (** {1 Tree families} *)
 
@@ -58,12 +62,14 @@ val barbell : rng:Rng.t -> clique:int -> bridge:int -> Graph.t
 (** Two cliques joined by a path of [bridge] nodes. *)
 
 val ladder : rng:Rng.t -> int -> Graph.t
-(** 2×len grid — constant width, diameter Θ(n). *)
+(** 2×len grid — constant width, diameter Θ(n).  Requires [len >= 1]. *)
 
 val random_regular : rng:Rng.t -> n:int -> d:int -> Graph.t
-(** Random [d]-regular-ish multigraph via the pairing model with rejection
-    of loops/multi-edges (retrying); expander-like, diameter O(log n).
-    Requires [n*d] even and [d < n]. *)
+(** Random simple [d]-regular graph: the union of [d/2] uniformly random
+    Hamiltonian cycles, plus a random perfect matching for odd [d].  An
+    attempt in which two of them share an edge, or whose union is
+    disconnected, is rejected and redrawn (up to 1000 attempts).
+    Expander-like, diameter O(log n).  Requires [n*d] even and [d < n]. *)
 
 val hidden_path : rng:Rng.t -> n:int -> shortcuts:int -> Graph.t
 (** A Hamiltonian path whose edges carry the [n-1] {e smallest} weights, so
@@ -86,8 +92,9 @@ val random_geometric : rng:Rng.t -> n:int -> radius:float -> Graph.t
 (** Random geometric graph: [n] points uniform on the unit square, nodes
     within [radius] adjacent, made connected by a random spanning skeleton
     over the components (as {!gnp_connected}).  Cell-grid neighbor search
-    keeps generation O(n) at constant expected degree
-    ([pi * radius^2 * n]), so million-node instances are practical.
+    over the occupied cells only keeps generation O(n log n) time and O(n)
+    memory at constant expected degree ([pi * radius^2 * n]), so
+    million-node instances are practical and a tiny radius is cheap.
     Requires [0 < radius <= 1]. *)
 
 (** {1 Sharding} *)

@@ -1,20 +1,27 @@
 type edge = { u : int; v : int; w : int; id : int }
 
-(* Flat CSR adjacency: node [v]'s incident half-edges occupy
-   [off.(v) .. off.(v+1) - 1] of [nbr] (the opposite endpoint) and [eid]
-   (the edge id), strictly ascending in [nbr]. *)
+(* Edge [id] joins [lo.(id) < hi.(id)] with weight [w.(id)]: flat int
+   columns, no per-edge record.  Flat CSR adjacency beside them: node
+   [v]'s incident half-edges occupy [off.(v) .. off.(v+1) - 1] of [nbr]
+   (the opposite endpoint) and [eid] (the edge id), strictly ascending in
+   [nbr]. *)
 type t = {
   n : int;
-  edges : edge array;
+  lo : int array; (* m *)
+  hi : int array; (* m *)
+  w : int array; (* m *)
   off : int array; (* n+1 *)
   nbr : int array; (* 2m *)
   eid : int array; (* 2m *)
 }
 
 let n g = g.n
-let m g = Array.length g.edges
-let edges g = g.edges
-let edge g id = g.edges.(id)
+let m g = Array.length g.w
+let edge g id = { u = g.lo.(id); v = g.hi.(id); w = g.w.(id); id }
+let edges g = Array.init (m g) (edge g)
+let lo g = g.lo
+let hi g = g.hi
+let weights g = g.w
 let offsets g = g.off
 let targets g = g.nbr
 let edge_ids g = g.eid
@@ -26,13 +33,13 @@ let neighbor g v i =
 
 let iter_neighbors g v f =
   for j = g.off.(v) to g.off.(v + 1) - 1 do
-    f g.nbr.(j) g.edges.(g.eid.(j))
+    f g.nbr.(j) g.eid.(j)
   done
 
 let fold_neighbors g v f acc =
   let acc = ref acc in
   for j = g.off.(v) to g.off.(v + 1) - 1 do
-    acc := f g.nbr.(j) g.edges.(g.eid.(j)) !acc
+    acc := f g.nbr.(j) g.eid.(j) !acc
   done;
   !acc
 
@@ -59,36 +66,41 @@ let other_endpoint e v =
    count degrees, scatter both half-edges into per-node buckets in input
    order, then transpose — walking x = 0 .. n-1 and appending x to the
    bucket of each of its neighbours leaves every bucket sorted, and a
-   duplicate edge shows up as x appended twice in a row. *)
-let of_edge_array ~n:nn arr =
+   duplicate edge shows up as x appended twice in a row.  The columns are
+   adopted: [us]/[vs] become [lo]/[hi] by swapping in place. *)
+let of_columns ~n:nn us vs ws =
   if nn < 0 then invalid_arg "Graph.of_edge_array: negative n";
+  let m = Array.length ws in
+  if Array.length us <> m || Array.length vs <> m then
+    invalid_arg "Graph.of_columns: column lengths differ";
   let off = Array.make (nn + 1) 0 in
-  let edges =
-    Array.mapi
-      (fun id (a, b, w) ->
-        if a = b then invalid_arg "Graph.of_edge_array: self-loop";
-        if a < 0 || a >= nn || b < 0 || b >= nn then
-          invalid_arg "Graph.of_edge_array: endpoint out of range";
-        off.(a + 1) <- off.(a + 1) + 1;
-        off.(b + 1) <- off.(b + 1) + 1;
-        if a < b then { u = a; v = b; w; id } else { u = b; v = a; w; id })
-      arr
-  in
+  for id = 0 to m - 1 do
+    let a = us.(id) and b = vs.(id) in
+    if a = b then invalid_arg "Graph.of_edge_array: self-loop";
+    if a < 0 || a >= nn || b < 0 || b >= nn then
+      invalid_arg "Graph.of_edge_array: endpoint out of range";
+    off.(a + 1) <- off.(a + 1) + 1;
+    off.(b + 1) <- off.(b + 1) + 1;
+    if a > b then begin
+      us.(id) <- b;
+      vs.(id) <- a
+    end
+  done;
   for v = 0 to nn - 1 do
     off.(v + 1) <- off.(v + 1) + off.(v)
   done;
   let half = off.(nn) in
   let pos = Array.sub off 0 nn in
   let scat_nbr = Array.make half 0 and scat_eid = Array.make half 0 in
-  Array.iter
-    (fun { u; v; id; _ } ->
-      scat_nbr.(pos.(u)) <- v;
-      scat_eid.(pos.(u)) <- id;
-      pos.(u) <- pos.(u) + 1;
-      scat_nbr.(pos.(v)) <- u;
-      scat_eid.(pos.(v)) <- id;
-      pos.(v) <- pos.(v) + 1)
-    edges;
+  for id = 0 to m - 1 do
+    let u = us.(id) and v = vs.(id) in
+    scat_nbr.(pos.(u)) <- v;
+    scat_eid.(pos.(u)) <- id;
+    pos.(u) <- pos.(u) + 1;
+    scat_nbr.(pos.(v)) <- u;
+    scat_eid.(pos.(v)) <- id;
+    pos.(v) <- pos.(v) + 1
+  done;
   Array.blit off 0 pos 0 nn;
   let nbr = Array.make half 0 and eid = Array.make half 0 in
   for x = 0 to nn - 1 do
@@ -102,25 +114,45 @@ let of_edge_array ~n:nn arr =
       pos.(y) <- p + 1
     done
   done;
-  { n = nn; edges; off; nbr; eid }
+  { n = nn; lo = us; hi = vs; w = ws; off; nbr; eid }
 
-let of_edges ~n es = of_edge_array ~n (Array.of_list es)
+let of_edge_array ~n arr =
+  let m = Array.length arr in
+  let us = Array.make m 0 and vs = Array.make m 0 and ws = Array.make m 0 in
+  Array.iteri
+    (fun i (a, b, w) ->
+      us.(i) <- a;
+      vs.(i) <- b;
+      ws.(i) <- w)
+    arr;
+  of_columns ~n us vs ws
+
+let of_edges ~n es =
+  let m = List.length es in
+  let us = Array.make m 0 and vs = Array.make m 0 and ws = Array.make m 0 in
+  List.iteri
+    (fun i (a, b, w) ->
+      us.(i) <- a;
+      vs.(i) <- b;
+      ws.(i) <- w)
+    es;
+  of_columns ~n us vs ws
 
 let find_edge g a b =
   let j = port g a b in
-  if j < 0 then None else Some g.edges.(g.eid.(j))
+  if j < 0 then None else Some (edge g g.eid.(j))
 
-let total_weight g = Array.fold_left (fun acc e -> acc + e.w) 0 g.edges
+let total_weight g = Array.fold_left ( + ) 0 g.w
 
 let has_distinct_weights g =
   let tbl = Hashtbl.create (m g) in
   Array.for_all
-    (fun e ->
-      if Hashtbl.mem tbl e.w then false
+    (fun w ->
+      if Hashtbl.mem tbl w then false
       else (
-        Hashtbl.add tbl e.w ();
+        Hashtbl.add tbl w ();
         true))
-    g.edges
+    g.w
 
 let is_connected g =
   if g.n = 0 then true
@@ -145,9 +177,11 @@ let is_connected g =
   end
 
 let subgraph_of_edges g es =
-  of_edge_array ~n:g.n (Array.of_list (List.map (fun e -> (e.u, e.v, e.w)) es))
+  of_edges ~n:g.n (List.map (fun e -> (e.u, e.v, e.w)) es)
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>graph n=%d m=%d" g.n (m g);
-  Array.iter (fun e -> Format.fprintf ppf "@,  %d -- %d (w=%d)" e.u e.v e.w) g.edges;
+  for id = 0 to m g - 1 do
+    Format.fprintf ppf "@,  %d -- %d (w=%d)" g.lo.(id) g.hi.(id) g.w.(id)
+  done;
   Format.fprintf ppf "@]"

@@ -1,12 +1,22 @@
 let weight es = List.fold_left (fun acc (e : Graph.edge) -> acc + e.w) 0 es
 
+(* Edge ids in (weight, id) order. *)
+let by_weight g =
+  let ws = Graph.weights g in
+  let ids = Array.init (Graph.m g) Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = compare ws.(a) ws.(b) in
+      if c <> 0 then c else compare a b)
+    ids;
+  ids
+
 let kruskal g =
-  let es = Array.copy (Graph.edges g) in
-  Array.sort (fun (a : Graph.edge) b -> compare (a.w, a.id) (b.w, b.id)) es;
+  let lo = Graph.lo g and hi = Graph.hi g in
   let uf = Union_find.create (Graph.n g) in
   Array.fold_left
-    (fun acc (e : Graph.edge) -> if Union_find.union uf e.u e.v then e :: acc else acc)
-    [] es
+    (fun acc id -> if Union_find.union uf lo.(id) hi.(id) then Graph.edge g id :: acc else acc)
+    [] (by_weight g)
   |> List.rev
 
 module Heap = struct
@@ -61,64 +71,61 @@ let prim g =
   let n = Graph.n g in
   if n = 0 then []
   else begin
+    let lo = Graph.lo g and hi = Graph.hi g and ws = Graph.weights g in
     let in_tree = Array.make n false in
     let heap = Heap.create () in
     let acc = ref [] in
     let add v =
       in_tree.(v) <- true;
-      Graph.iter_neighbors g v (fun u (e : Graph.edge) ->
-        if not in_tree.(u) then Heap.push heap e.w e)
+      Graph.iter_neighbors g v (fun u id -> if not in_tree.(u) then Heap.push heap ws.(id) id)
     in
     add 0;
     while not (Heap.is_empty heap) do
-      let _, (e : Graph.edge) = Heap.pop heap in
+      let _, id = Heap.pop heap in
       let next =
-        if not in_tree.(e.u) then Some e.u
-        else if not in_tree.(e.v) then Some e.v
-        else None
+        if not in_tree.(lo.(id)) then lo.(id)
+        else if not in_tree.(hi.(id)) then hi.(id)
+        else -1
       in
-      match next with
-      | Some v ->
-        acc := e :: !acc;
-        add v
-      | None -> ()
+      if next >= 0 then begin
+        acc := Graph.edge g id :: !acc;
+        add next
+      end
     done;
     List.rev !acc
   end
 
 let boruvka g =
   let n = Graph.n g in
+  let lo = Graph.lo g and hi = Graph.hi g and ws = Graph.weights g in
   let uf = Union_find.create n in
   let chosen = ref [] in
   let changed = ref true in
   while !changed && Union_find.count uf > 1 do
     changed := false;
-    (* For each component, its minimum outgoing edge (indexed by root). *)
-    let best : Graph.edge option array = Array.make n None in
+    (* For each component, its minimum outgoing edge id (indexed by root;
+       -1 for none), least (weight, id) first. *)
+    let best = Array.make n (-1) in
+    for id = 0 to Graph.m g - 1 do
+      let ru = Union_find.find uf lo.(id) and rv = Union_find.find uf hi.(id) in
+      if ru <> rv then begin
+        let update r =
+          let b = best.(r) in
+          if b < 0 || ws.(id) < ws.(b) || (ws.(id) = ws.(b) && id < b) then best.(r) <- id
+        in
+        update ru;
+        update rv
+      end
+    done;
     Array.iter
-      (fun (e : Graph.edge) ->
-        let ru = Union_find.find uf e.u and rv = Union_find.find uf e.v in
-        if ru <> rv then begin
-          let update r =
-            match best.(r) with
-            | Some b when (b.w, b.id) <= (e.w, e.id) -> ()
-            | _ -> best.(r) <- Some e
-          in
-          update ru;
-          update rv
+      (fun id ->
+        if id >= 0 && Union_find.union uf lo.(id) hi.(id) then begin
+          chosen := id :: !chosen;
+          changed := true
         end)
-      (Graph.edges g);
-    Array.iter
-      (function
-        | Some (e : Graph.edge) ->
-          if Union_find.union uf e.u e.v then begin
-            chosen := e :: !chosen;
-            changed := true
-          end
-        | None -> ())
       best
   done;
-  List.sort (fun (a : Graph.edge) b -> compare a.id b.id) !chosen
+  List.map (Graph.edge g) (List.sort compare !chosen)
 
 let is_spanning_tree g es =
   let n = Graph.n g in

@@ -23,11 +23,11 @@ let bfs_from_sources g sources source_label =
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
     Queue.add v order;
-    Graph.iter_neighbors g v (fun u (e : Graph.edge) ->
+    Graph.iter_neighbors g v (fun u id ->
       if dist.(u) = max_int then begin
         dist.(u) <- dist.(v) + 1;
         parent.(u) <- v;
-        parent_edge.(u) <- e.id;
+        parent_edge.(u) <- id;
         Queue.add u q
       end)
   done;

@@ -9,8 +9,14 @@ type t = {
 }
 
 let is_forest g =
+  let lo = Graph.lo g and hi = Graph.hi g in
   let uf = Union_find.create (Graph.n g) in
-  Array.for_all (fun (e : Graph.edge) -> Union_find.union uf e.u e.v) (Graph.edges g)
+  let ok = ref true and id = ref 0 in
+  while !ok && !id < Graph.m g do
+    ok := Union_find.union uf lo.(!id) hi.(!id);
+    incr id
+  done;
+  !ok
 
 let is_tree g = Graph.n g > 0 && Graph.m g = Graph.n g - 1 && Graph.is_connected g
 
@@ -27,11 +33,12 @@ let root_component_at g r =
   (* A BFS from r visits every component node along exactly one edge iff the
      component is acyclic; check it. *)
   let comp_nodes = Array.length b.order in
-  let comp_edges =
-    Array.fold_left
-      (fun acc (e : Graph.edge) -> if depth.(e.u) >= 0 && depth.(e.v) >= 0 then acc + 1 else acc)
-      0 (Graph.edges g)
-  in
+  let lo = Graph.lo g and hi = Graph.hi g in
+  let comp_edges = ref 0 in
+  for id = 0 to Graph.m g - 1 do
+    if depth.(lo.(id)) >= 0 && depth.(hi.(id)) >= 0 then incr comp_edges
+  done;
+  let comp_edges = !comp_edges in
   if comp_edges <> comp_nodes - 1 then
     invalid_arg "Tree.root_component_at: component contains a cycle";
   let children = Array.map (fun c -> Array.make c (-1)) child_count in
